@@ -18,12 +18,19 @@ other statement is treated as a skip, exactly like the paper's reduced
 program ``Prog_P``.
 
 The abstract domain tracks *uninitializedness* explicitly (the
-:data:`UNINIT` sentinel; a missing key means ``{UNINIT}``).  This is what
-makes strong updates sound: a store through a pointer whose may-set is a
-singleton **and** contains no ``UNINIT`` definitely writes that one cell
-— without the sentinel, a path on which the pointer was never assigned
-would silently disappear in the join and the "singleton" would not be a
-must-fact (a bug our property-based fuzzing actually caught).
+:data:`UNINIT_BIT` sentinel; a missing key means "uninitialized").  This
+is what makes strong updates sound: a store through a pointer whose
+may-set is a singleton **and** lacks ``UNINIT_BIT`` definitely writes
+that one cell — without the sentinel, a path on which the pointer was
+never assigned would silently disappear in the join and the "singleton"
+would not be a must-fact (a bug our property-based fuzzing actually
+caught).  NULL is explicit (:data:`NULL_BIT`) for the same reason: an
+empty set would vanish in joins and turn "v4 or NULL" into a fake
+must-fact.
+
+States are solved on the bitmask kernel (:mod:`.kernel`);
+:class:`~.reference.ReferenceFSCI`, the same fixpoint over frozensets,
+is the oracle the differential suites compare it against.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set
 
 from ..ir import (
     AddrOf,
-    AllocSite,
     Assume,
     CallGraph,
     Copy,
@@ -50,61 +56,17 @@ from .dataflow import ForwardDataflow, Supergraph
 from .kernel import NodeTable, popcount
 
 
-class _Uninit:
-    """Sentinel 'value': the cell may still hold its original garbage."""
-
-    _instance: Optional["_Uninit"] = None
-
-    def __new__(cls) -> "_Uninit":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<uninit>"
-
-
-UNINIT = _Uninit()
-UNINIT_SET: FrozenSet[object] = frozenset({UNINIT})
-
-
-class _Null:
-    """Sentinel 'value': the cell holds NULL (defined, points nowhere).
-
-    NULL must be explicit for the same reason UNINIT must: an empty set
-    would vanish in joins and turn "v4 or NULL" into a fake must-fact,
-    enabling an unsound strong update on a path where the store is a
-    concrete no-op."""
-
-    _instance: Optional["_Null"] = None
-
-    def __new__(cls) -> "_Null":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<null>"
-
-
-NULL_VALUE = _Null()
-NULL_SET: FrozenSet[object] = frozenset({NULL_VALUE})
-
-_SENTINELS = (UNINIT, NULL_VALUE)
-
-PtsState = Dict[MemObject, FrozenSet[object]]
-
 EMPTY: FrozenSet[MemObject] = frozenset()
 
 #: Lattice bottom for unreached nodes (distinct from {} == "all uninit").
 BOTTOM = None
 
-# -- kernel (mask) encoding of the same domain ----------------------------
+# -- kernel (mask) encoding of the domain ---------------------------------
 #
-# A kernel state is ``Dict[int, int]``: dense cell id -> value mask.  The
-# two reserved low bits carry the sentinels, object ``i`` sits at bit
-# ``_RESERVED + i``, and a missing key means {UNINIT} — exactly mirroring
-# the frozenset domain above, bijectively, so the fixpoint trajectory
+# A state is ``Dict[int, int]``: dense cell id -> value mask.  The two
+# reserved low bits carry the sentinels, object ``i`` sits at bit
+# ``_RESERVED + i``, and a missing key means {UNINIT} — a bijection with
+# the reference solver's frozenset domain, so the fixpoint trajectory
 # (state equality, join results, iteration counts) is identical.
 
 UNINIT_BIT = 1
@@ -116,32 +78,9 @@ _RESERVED = 2
 MaskState = Dict[int, int]
 
 
-def _value(state: PtsState, cell: object) -> FrozenSet[object]:
-    """The abstract value of ``cell``: missing key means uninitialized."""
-    v = state.get(cell)
-    return v if v is not None else UNINIT_SET
-
-
-def _join(a: Optional[PtsState], b: Optional[PtsState]) -> Optional[PtsState]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a is b:
-        return a
-    out: PtsState = {}
-    for k, v in a.items():
-        w = b.get(k)
-        out[k] = v | (w if w is not None else UNINIT_SET)
-    for k, w in b.items():
-        if k not in a:
-            out[k] = w | UNINIT_SET
-    return out
-
-
 def _join_kernel(a: Optional[MaskState],
                  b: Optional[MaskState]) -> Optional[MaskState]:
-    """Mask-space twin of :func:`_join`: missing keys join as UNINIT."""
+    """Pointwise union; missing keys join as UNINIT."""
     if a is None:
         return b
     if b is None:
@@ -159,147 +98,20 @@ def _join_kernel(a: Optional[MaskState],
     return out
 
 
-def _strip(objs: FrozenSet[object]) -> FrozenSet[MemObject]:
-    """Drop the UNINIT/NULL sentinels for clients wanting real objects."""
-    if UNINIT in objs or NULL_VALUE in objs:
-        return frozenset(o for o in objs if o not in _SENTINELS)
-    return objs  # type: ignore[return-value]
-
-
 class FSCIResult(PointsToResult):
-    """Location-indexed points-to facts."""
+    """Location-indexed points-to facts.
 
-    def __init__(self, engine: ForwardDataflow, universe: Set[Var]) -> None:
-        self._engine = engine
-        self.universe = universe
-        self._summary: Optional[Dict[MemObject, FrozenSet[MemObject]]] = None
-
-    def _state_before(self, loc: Loc) -> PtsState:
-        state = self._engine.state_before(loc)
-        return state if state is not None else {}
-
-    def _state_after(self, loc: Loc) -> PtsState:
-        state = self._engine.state_after(loc)
-        return state if state is not None else {}
-
-    def pts_before(self, loc: Loc, p: MemObject) -> FrozenSet[MemObject]:
-        """Objects ``p`` may point to just before ``loc`` executes."""
-        return _strip(_value(self._state_before(loc), p))
-
-    def pts_after(self, loc: Loc, p: MemObject) -> FrozenSet[MemObject]:
-        return _strip(_value(self._state_after(loc), p))
-
-    def reached_before(self, loc: Loc) -> bool:
-        """Was ``loc`` visited by the fixpoint?  Unreached locations sit
-        at lattice bottom: no execution of the analyzed supergraph gets
-        there, so their facts never flow anywhere."""
-        return self._engine.state_before(loc) is not None
-
-    def maybe_uninit_before(self, loc: Loc, p: MemObject) -> bool:
-        """May ``p`` still be uninitialized just before ``loc``?
-
-        The must-fact gate for clients like the constraint oracle: a
-        singleton may-set is only a must-fact when this is False."""
-        return UNINIT in _value(self._state_before(loc), p)
-
-    def must_point_to(self, p: MemObject, obj: MemObject, loc: Loc) -> bool:
-        value = _value(self._state_before(loc), p)
-        return value == frozenset({obj})
-
-    def may_null_before(self, loc: Loc, p: MemObject) -> bool:
-        """May ``p`` be NULL (or uninitialized garbage) before ``loc``?"""
-        value = _value(self._state_before(loc), p)
-        return NULL_VALUE in value or UNINIT in value
-
-    def must_null_before(self, loc: Loc, p: MemObject) -> bool:
-        return _value(self._state_before(loc), p) == NULL_SET
-
-    def explicit_null_before(self, loc: Loc, p: MemObject) -> bool:
-        """May ``p`` hold an explicitly-assigned NULL before ``loc``?
-
-        Unlike :meth:`may_null_before` this ignores UNINIT: a pointer
-        that was merely never initialized on some path does not count.
-        Checkers use this to separate "dereference of NULL" from
-        "dereference of garbage"."""
-        return NULL_VALUE in _value(self._state_before(loc), p)
-
-    def maybe_uninit_only_before(self, loc: Loc, p: MemObject) -> bool:
-        """Is ``p`` *definitely* uninitialized garbage before ``loc``?"""
-        return _value(self._state_before(loc), p) == UNINIT_SET
-
-    def cells_after(self, loc: Loc) -> Dict[MemObject, FrozenSet[MemObject]]:
-        """Every tracked cell's (sentinel-stripped) value after ``loc``.
-
-        Used by escape checks: scanning the state at a function's exit
-        reveals which outliving cells still hold addresses of locals."""
-        return {k: _strip(v) for k, v in self._state_after(loc).items()}
-
-    def may_point_to(self, p: MemObject, obj: MemObject, loc: Loc) -> bool:
-        return obj in self.pts_before(loc, p)
-
-    def may_values_equal(self, p: MemObject, q: MemObject, loc: Loc) -> bool:
-        """May ``p`` and ``q`` hold the same value before ``loc``?
-
-        Unlike :meth:`may_alias_at` this includes the non-object cases:
-        uninitialized garbage may equal anything, and two NULLs are
-        equal."""
-        if p == q:
-            return True
-        vp = _value(self._state_before(loc), p)
-        vq = _value(self._state_before(loc), q)
-        if UNINIT in vp or UNINIT in vq:
-            return True
-        if NULL_VALUE in vp and NULL_VALUE in vq:
-            return True
-        return bool(_strip(vp) & _strip(vq))
-
-    def must_values_equal(self, p: MemObject, q: MemObject, loc: Loc) -> bool:
-        """Do ``p`` and ``q`` definitely hold the same value?"""
-        if p == q:
-            return True
-        vp = _value(self._state_before(loc), p)
-        vq = _value(self._state_before(loc), q)
-        if vp == NULL_SET and vq == NULL_SET:
-            return True
-        return (len(vp) == 1 and vp == vq and UNINIT not in vp
-                and NULL_VALUE not in vp)
-
-    def may_alias_at(self, p: Var, q: Var, loc: Loc) -> bool:
-        if p == q:
-            return True
-        return bool(self.pts_before(loc, p) & self.pts_before(loc, q))
-
-    # -- PointsToResult (flow-insensitive projection) ---------------------
-    def points_to(self, p: Var) -> FrozenSet[MemObject]:
-        if self._summary is None:
-            summary: Dict[MemObject, Set[MemObject]] = {}
-            for state in self._engine._out.values():
-                if state is None:
-                    continue
-                for k, v in state.items():
-                    summary.setdefault(k, set()).update(_strip(v))
-            self._summary = {k: frozenset(v) for k, v in summary.items()}
-        return self._summary.get(p, EMPTY)
-
-    @property
-    def iterations(self) -> int:
-        return self._engine.iterations
-
-
-class KernelFSCIResult(FSCIResult):
-    """:class:`FSCIResult` over mask-valued states.
-
-    The engine's states are ``Dict[int, int]`` (see the kernel encoding
-    notes above); every accessor decodes through the :class:`NodeTable`
-    at the API boundary and returns the exact frozensets / booleans the
-    frozenset backend produces — the differential suite compares the two
-    result objects accessor by accessor.
+    The engine's states are mask-valued (see the kernel encoding notes
+    above); every accessor decodes through the :class:`NodeTable` at the
+    API boundary and returns plain frozensets / booleans.
     """
 
     def __init__(self, engine: ForwardDataflow, universe: Set[Var],
                  table: NodeTable) -> None:
-        super().__init__(engine, universe)
+        self._engine = engine
+        self.universe = universe
         self._table = table
+        self._summary: Optional[Dict[MemObject, FrozenSet[MemObject]]] = None
 
     # -- mask plumbing ---------------------------------------------------
     def _mask_before(self, loc: Loc, p: MemObject) -> int:
@@ -322,12 +134,23 @@ class KernelFSCIResult(FSCIResult):
 
     # -- decoded accessors ----------------------------------------------
     def pts_before(self, loc: Loc, p: MemObject) -> FrozenSet[MemObject]:
+        """Objects ``p`` may point to just before ``loc`` executes."""
         return self._table.objects_of(self._mask_before(loc, p))
 
     def pts_after(self, loc: Loc, p: MemObject) -> FrozenSet[MemObject]:
         return self._table.objects_of(self._mask_after(loc, p))
 
+    def reached_before(self, loc: Loc) -> bool:
+        """Was ``loc`` visited by the fixpoint?  Unreached locations sit
+        at lattice bottom: no execution of the analyzed supergraph gets
+        there, so their facts never flow anywhere."""
+        return self._engine.state_before(loc) is not None
+
     def maybe_uninit_before(self, loc: Loc, p: MemObject) -> bool:
+        """May ``p`` still be uninitialized just before ``loc``?
+
+        The must-fact gate for clients like the constraint oracle: a
+        singleton may-set is only a must-fact when this is False."""
         return bool(self._mask_before(loc, p) & UNINIT_BIT)
 
     def must_point_to(self, p: MemObject, obj: MemObject, loc: Loc) -> bool:
@@ -337,18 +160,30 @@ class KernelFSCIResult(FSCIResult):
         return self._mask_before(loc, p) == 1 << (_RESERVED + idx)
 
     def may_null_before(self, loc: Loc, p: MemObject) -> bool:
+        """May ``p`` be NULL (or uninitialized garbage) before ``loc``?"""
         return bool(self._mask_before(loc, p) & _SENT_MASK)
 
     def must_null_before(self, loc: Loc, p: MemObject) -> bool:
         return self._mask_before(loc, p) == NULL_BIT
 
     def explicit_null_before(self, loc: Loc, p: MemObject) -> bool:
+        """May ``p`` hold an explicitly-assigned NULL before ``loc``?
+
+        Unlike :meth:`may_null_before` this ignores UNINIT: a pointer
+        that was merely never initialized on some path does not count.
+        Checkers use this to separate "dereference of NULL" from
+        "dereference of garbage"."""
         return bool(self._mask_before(loc, p) & NULL_BIT)
 
     def maybe_uninit_only_before(self, loc: Loc, p: MemObject) -> bool:
+        """Is ``p`` *definitely* uninitialized garbage before ``loc``?"""
         return self._mask_before(loc, p) == UNINIT_BIT
 
     def cells_after(self, loc: Loc) -> Dict[MemObject, FrozenSet[MemObject]]:
+        """Every tracked cell's (sentinel-stripped) value after ``loc``.
+
+        Used by escape checks: scanning the state at a function's exit
+        reveals which outliving cells still hold addresses of locals."""
         state = self._engine.state_after(loc)
         if state is None:
             return {}
@@ -356,7 +191,15 @@ class KernelFSCIResult(FSCIResult):
         return {table.obj_of(k): table.objects_of(v)
                 for k, v in state.items()}
 
+    def may_point_to(self, p: MemObject, obj: MemObject, loc: Loc) -> bool:
+        return obj in self.pts_before(loc, p)
+
     def may_values_equal(self, p: MemObject, q: MemObject, loc: Loc) -> bool:
+        """May ``p`` and ``q`` hold the same value before ``loc``?
+
+        Unlike :meth:`may_alias_at` this includes the non-object cases:
+        uninitialized garbage may equal anything, and two NULLs are
+        equal."""
         if p == q:
             return True
         vp = self._mask_before(loc, p)
@@ -368,6 +211,7 @@ class KernelFSCIResult(FSCIResult):
         return bool(vp & vq & ~_SENT_MASK)
 
     def must_values_equal(self, p: MemObject, q: MemObject, loc: Loc) -> bool:
+        """Do ``p`` and ``q`` definitely hold the same value?"""
         if p == q:
             return True
         vp = self._mask_before(loc, p)
@@ -376,6 +220,12 @@ class KernelFSCIResult(FSCIResult):
             return True
         return vp == vq and not vp & _SENT_MASK and popcount(vp) == 1
 
+    def may_alias_at(self, p: Var, q: Var, loc: Loc) -> bool:
+        if p == q:
+            return True
+        return bool(self.pts_before(loc, p) & self.pts_before(loc, q))
+
+    # -- PointsToResult (flow-insensitive projection) ---------------------
     def points_to(self, p: Var) -> FrozenSet[MemObject]:
         if self._summary is None:
             acc: Dict[int, int] = {}
@@ -388,6 +238,10 @@ class KernelFSCIResult(FSCIResult):
             self._summary = {table.obj_of(k): table.objects_of(v)
                              for k, v in acc.items()}
         return self._summary.get(p, EMPTY)
+
+    @property
+    def iterations(self) -> int:
+        return self._engine.iterations
 
 
 class FSCI(PointerAnalysis):
@@ -407,10 +261,6 @@ class FSCI(PointerAnalysis):
         can influence it.
     max_iterations:
         Abort knob for the deliberately-unscalable unclustered baseline.
-    use_kernel:
-        Run the dataflow over mask states (default).  ``False`` selects
-        the frozenset reference backend; both produce identical results
-        through every :class:`FSCIResult` accessor.
     """
 
     name = "fsci"
@@ -421,10 +271,8 @@ class FSCI(PointerAnalysis):
                  functions: Optional[Iterable[str]] = None,
                  max_iterations: Optional[int] = None,
                  callgraph: Optional[CallGraph] = None,
-                 deadline: Optional[float] = None,
-                 use_kernel: bool = True) -> None:
+                 deadline: Optional[float] = None) -> None:
         super().__init__(program)
-        self._use_kernel = use_kernel
         self._tracked: Optional[FrozenSet[MemObject]] = (
             frozenset(tracked) if tracked is not None else None)
         self._relevant = relevant
@@ -447,102 +295,9 @@ class FSCI(PointerAnalysis):
             return False
         return obj.function is None or obj.function not in self._recursive
 
-    def _transfer(self, loc: Loc, stmt: Statement, state: PtsState) -> PtsState:
-        if self._relevant is not None and loc not in self._relevant \
-                and stmt.is_pointer_assign:
-            return state
-        if isinstance(stmt, Copy):
-            if not self._is_tracked(stmt.lhs):
-                return state
-            out = dict(state)
-            out[stmt.lhs] = _value(state, stmt.rhs)
-            return out
-        if isinstance(stmt, AddrOf):
-            if not self._is_tracked(stmt.lhs):
-                return state
-            out = dict(state)
-            out[stmt.lhs] = frozenset({stmt.target})
-            return out
-        if isinstance(stmt, Load):
-            if not self._is_tracked(stmt.lhs):
-                return state
-            gathered: Set[object] = set()
-            targets = _value(state, stmt.rhs)
-            if UNINIT in targets or NULL_VALUE in targets:
-                # Loading through garbage or NULL is UB; the value read
-                # is garbage (matches the concrete oracle's model).
-                gathered.add(UNINIT)
-            for obj in targets:
-                if obj not in _SENTINELS:
-                    gathered.update(_value(state, obj))
-            out = dict(state)
-            out[stmt.lhs] = frozenset(gathered)
-            return out
-        if isinstance(stmt, Store):
-            targets = _value(state, stmt.lhs)
-            real = [o for o in targets if o not in _SENTINELS]
-            if not real:
-                return state
-            rhs_value = _value(state, stmt.rhs)
-            out = dict(state)
-            if len(real) == 1 and len(targets) == 1:
-                (only,) = real
-                if self._is_tracked(only) and self._strong_updatable(only):
-                    out[only] = rhs_value
-                    return out
-            for obj in real:
-                if self._is_tracked(obj):
-                    out[obj] = _value(state, obj) | rhs_value
-            return out
-        if isinstance(stmt, NullAssign):
-            if not self._is_tracked(stmt.lhs):
-                return state
-            out = dict(state)
-            out[stmt.lhs] = NULL_SET
-            return out
-        if isinstance(stmt, Assume):
-            return self._refine(state, stmt)
-        return state
-
-    def _refine(self, state: PtsState, stmt: Assume) -> PtsState:
-        """Path-sensitive refinement (paper Section 3): an assume only
-        restricts executions, so intersecting values is sound.  UNINIT
-        blocks refinement — garbage can compare equal to anything."""
-        lv = _value(state, stmt.lhs)
-        if stmt.rhs is None:
-            if UNINIT in lv:
-                return state
-            keep = (lv & NULL_SET) if stmt.equal else (lv - NULL_SET)
-            if keep == lv or not self._is_tracked(stmt.lhs):
-                return state
-            out = dict(state)
-            out[stmt.lhs] = keep
-            return out
-        rv = _value(state, stmt.rhs)
-        if not stmt.equal or UNINIT in lv or UNINIT in rv:
-            return state  # != refines nothing set-wise, in general
-        common = lv & rv
-        out = dict(state)
-        if self._is_tracked(stmt.lhs):
-            out[stmt.lhs] = common
-        if self._is_tracked(stmt.rhs):
-            out[stmt.rhs] = common
-        return out
-
     def run(self) -> FSCIResult:
+        """Solve with per-location transfer closures over mask states."""
         graph = Supergraph(self.program, functions=self._functions)
-        if self._use_kernel:
-            return self._run_kernel(graph)
-        engine: ForwardDataflow[Optional[PtsState]] = ForwardDataflow(
-            graph, self._transfer, _join, initial={}, bottom=BOTTOM)
-        engine.run(max_iterations=self._max_iterations,
-                   deadline=self._deadline)
-        return FSCIResult(engine, set(self.program.pointers))
-
-    # ------------------------------------------------------------------
-    # kernel backend: per-location transfer closures over mask states
-    # ------------------------------------------------------------------
-    def _run_kernel(self, graph: Supergraph) -> FSCIResult:
         table = NodeTable(reserved=_RESERVED)
         ops = self._compile_kernel(graph, table)
 
@@ -555,7 +310,7 @@ class FSCI(PointerAnalysis):
             graph, transfer, _join_kernel, initial={}, bottom=BOTTOM)
         engine.run(max_iterations=self._max_iterations,
                    deadline=self._deadline)
-        return KernelFSCIResult(engine, set(self.program.pointers), table)
+        return FSCIResult(engine, set(self.program.pointers), table)
 
     def _compile_kernel(self, graph: Supergraph, table: NodeTable
                         ) -> Dict[Loc, Callable[[MaskState], MaskState]]:
@@ -602,8 +357,8 @@ class FSCI(PointerAnalysis):
     def _compile_stmt(self, stmt: Statement, table: NodeTable,
                       tracked_arr: List[bool], strong_arr: List[bool]
                       ) -> Optional[Callable[[MaskState], MaskState]]:
-        """One statement's mask transfer, mirroring :meth:`_transfer`
-        case by case; ``None`` means "behaves as a skip"."""
+        """One statement's mask transfer; ``None`` means "behaves as a
+        skip"."""
         intern = table.intern
         if isinstance(stmt, Copy):
             if not self._is_tracked(stmt.lhs):

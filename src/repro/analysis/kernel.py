@@ -18,9 +18,9 @@ the FSCI dataflow:
   :class:`~repro.ir.AllocSite` objects to dense integer ids (insertion
   order, so a deterministic construction order makes every downstream
   iteration hash-seed independent) and decodes bit masks back to the
-  *same* frozensets the legacy solvers produce.  ``reserved`` low bits
-  let flow-sensitive clients keep sentinel values (UNINIT/NULL) inside
-  the same mask.
+  *same* frozensets the reference solvers (:mod:`.reference`) produce.
+  ``reserved`` low bits let flow-sensitive clients keep sentinel values
+  (UNINIT/NULL) inside the same mask.
 * :class:`BitSet` — a mutable set of interned ids backed by one int,
   with the diff-propagation primitive :meth:`BitSet.or_into` returning
   the delta mask of genuinely new bits.

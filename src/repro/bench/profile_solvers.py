@@ -1,19 +1,18 @@
 """Solver-kernel benchmark: bitmask kernels vs frozenset reference.
 
-PR 7 moved the Andersen worklist and the FSCI transfer functions onto
-int-bitmask kernels (:mod:`repro.analysis.kernel`) and interned the
-cluster-shipping payload (wire format, version 2).  This harness proves
-the speedup is real and keeps it from rotting:
+The Andersen worklist and the FSCI transfer functions run on int-bitmask
+kernels (:mod:`repro.analysis.kernel`); the original frozenset solvers
+survive as the differential oracle in :mod:`repro.analysis.reference`.
+This harness proves the speedup is real and keeps it from rotting:
 
 * **andersen** — cold inclusion-based solve of the whole program,
-  kernel vs reference backend, results compared pointer-for-pointer.
+  kernel vs reference solver, results compared pointer-for-pointer.
 * **fsci** — cold whole-program flow-sensitive solve (the expensive
   stage; per-location abstract states are where masks beat frozensets),
   kernel vs reference, identical iteration counts and points-to
   summaries required.
 * **payload** — total serialized bytes of every bootstrap cluster
-  payload in the legacy inline format (version 1) vs the interned wire
-  format (version 2).
+  payload (interned wire format, version 2).
 
 Results go to ``BENCH_kernel.json``.  ``--gate`` re-runs the solver
 stages and fails if the kernel's *relative* cost regressed more than
@@ -33,6 +32,7 @@ import time
 from typing import Any, Dict, Optional, Sequence
 
 from ..analysis import FSCI, Andersen
+from ..analysis.reference import ReferenceAndersen, ReferenceFSCI
 from ..core import BootstrapAnalyzer, BootstrapConfig, CascadeConfig
 from ..core.shipping import build_payload
 from ..ir import CallGraph
@@ -66,10 +66,10 @@ def run_kernel_bench(name: str = LARGEST, scale: float = 0.008,
     stages: Dict[str, Dict[str, Any]] = {}
 
     t0 = time.perf_counter()
-    a_kernel = Andersen(program, use_kernel=True).run()
+    a_kernel = Andersen(program).run()
     t_ak = time.perf_counter() - t0
     t0 = time.perf_counter()
-    a_ref = Andersen(program, use_kernel=False).run()
+    a_ref = ReferenceAndersen(program).run()
     t_ar = time.perf_counter() - t0
     identical = all(a_kernel.points_to(p) == a_ref.points_to(p)
                     for p in program.pointers)
@@ -84,10 +84,10 @@ def run_kernel_bench(name: str = LARGEST, scale: float = 0.008,
               f"identical={identical})", file=sys.stderr)
 
     t0 = time.perf_counter()
-    f_kernel = FSCI(program, use_kernel=True).run()
+    f_kernel = FSCI(program).run()
     t_fk = time.perf_counter() - t0
     t0 = time.perf_counter()
-    f_ref = FSCI(program, use_kernel=False).run()
+    f_ref = ReferenceFSCI(program).run()
     t_fr = time.perf_counter() - t0
     identical = (f_kernel.iterations == f_ref.iterations
                  and all(f_kernel.points_to(p) == f_ref.points_to(p)
@@ -116,23 +116,13 @@ def run_kernel_bench(name: str = LARGEST, scale: float = 0.008,
             cascade=CascadeConfig(andersen_threshold=threshold))
         boot = BootstrapAnalyzer(program, config).run()
         callgraph = CallGraph(program)
-        v1 = v2 = 0
         cache: Dict[Any, Any] = {}
-        for cluster in boot.clusters:
-            v1 += _payload_bytes(build_payload(
-                program, cluster, callgraph=callgraph,
-                subprogram_cache=cache, compact=False))
-            v2 += _payload_bytes(build_payload(
-                program, cluster, callgraph=callgraph,
-                subprogram_cache=cache))
-        payload = {
-            "clusters": len(boot.clusters),
-            "v1_bytes": v1, "v2_bytes": v2,
-            "ratio": v1 / v2 if v2 else 0.0,
-        }
+        v2 = sum(_payload_bytes(build_payload(
+            program, cluster, callgraph=callgraph, subprogram_cache=cache))
+            for cluster in boot.clusters)
+        payload = {"clusters": len(boot.clusters), "v2_bytes": v2}
         if verbose:
-            print(f"  payload: v1 {v1} B vs v2 {v2} B "
-                  f"({payload['ratio']:.2f}x smaller)", file=sys.stderr)
+            print(f"  payload: v2 {v2} B", file=sys.stderr)
 
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -151,7 +141,7 @@ def check_gate(current: Dict[str, Any], baseline: Dict[str, Any],
 
     The gate is relative: the kernel/reference time *ratio* must not
     grow more than ``tolerance`` beyond the baseline's, and every stage
-    must still produce results identical to the reference backend.
+    must still produce results identical to the reference solver.
     """
     failures = []
     for key in ("andersen", "fsci"):
@@ -194,16 +184,14 @@ def render(data: Dict[str, Any]) -> str:
     if payload.get("skipped"):
         return table
     return (table + "\n\n"
-            f"payload: v2 interned {payload['v2_bytes']} B vs "
-            f"v1 inline {payload['v1_bytes']} B "
-            f"({payload['ratio']:.2f}x smaller, "
-            f"{payload['clusters']} clusters)")
+            f"payload: v2 interned {payload['v2_bytes']} B "
+            f"({payload['clusters']} clusters)")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Profile bitmask solver kernels against the "
-                    "frozenset reference backends")
+                    "frozenset reference solvers")
     parser.add_argument("--program", default=LARGEST,
                         help=f"corpus program name (default {LARGEST}, "
                              "the largest)")

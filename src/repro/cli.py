@@ -736,12 +736,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summaries", action="store_true",
                    help="precompute summaries for every cluster")
     p.add_argument("--backend",
-                   choices=["simulate", "threads", "processes"],
+                   choices=["simulate", "processes"],
                    default="simulate",
                    help="how to execute the per-cluster analyses "
                         "(default: simulate, the paper's accounting)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker count for threads/processes backends "
+                   help="worker count for the processes backend "
                         "(default: --parts)")
     p.add_argument("--scheduler", choices=["greedy", "lpt"],
                    default="greedy",
@@ -917,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cutshortcut", action="store_true")
         p.add_argument("--parts", type=int, default=5)
         p.add_argument("--backend",
-                       choices=["simulate", "threads", "processes"],
+                       choices=["simulate", "processes"],
                        default="simulate",
                        help="how (re)analysis executes clusters "
                             "(processes = the PR-2 worker pool)")

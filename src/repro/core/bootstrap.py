@@ -49,11 +49,6 @@ class BootstrapConfig:
     parts: int = 5
     fscs_budget: Optional[int] = None
     max_cond_atoms: int = 4
-    #: Use the bitmask solver kernels for in-process cluster analyses
-    #: (``False`` = frozenset reference backends; identical results).
-    #: Deliberately *not* shipped in payloads: fingerprints and worker
-    #: outcomes are representation-independent.
-    use_kernel: bool = True
 
 
 class BootstrapResult:
@@ -97,8 +92,7 @@ class BootstrapResult:
                     probe = ClusterFSCS(
                         self.program, cluster=(),
                         tracked=parent.vp, relevant=parent.statements,
-                        callgraph=self.callgraph,
-                        use_kernel=self.config.use_kernel)
+                        callgraph=self.callgraph)
                     fsci = probe.fsci
                     self._fsci_cache[cache_key] = fsci
             analysis = ClusterFSCS(
@@ -110,7 +104,6 @@ class BootstrapResult:
                 fsci=fsci,
                 max_cond_atoms=self.config.max_cond_atoms,
                 budget=self.config.fscs_budget,
-                use_kernel=self.config.use_kernel,
             )
             self._analyses[key] = analysis
         return analysis
@@ -172,8 +165,7 @@ class BootstrapResult:
     # bulk analysis (the Table 1 workload)
     # ------------------------------------------------------------------
     def analyze_all(self, clusters: Optional[Sequence[Cluster]] = None,
-                    simulate: bool = True,
-                    backend: Optional[str] = None,
+                    backend: str = "simulate",
                     jobs: Optional[int] = None,
                     scheduler: str = "greedy",
                     cache: "Optional[object]" = None,
@@ -182,11 +174,10 @@ class BootstrapResult:
                     ) -> ParallelReport:
         """Build summaries for every cluster (or a selected subset).
 
-        ``backend`` picks execution (``simulate``/``threads``/
-        ``processes``; the legacy ``simulate`` flag covers the first two
-        when ``backend`` is omitted); ``scheduler`` picks the part
-        assignment (``greedy``/``lpt``); ``jobs`` sets the worker (and,
-        for ``processes``, part) count; ``cache`` — a
+        ``backend`` picks execution (``simulate`` or ``processes``);
+        ``scheduler`` picks the part assignment (``greedy``/``lpt``);
+        ``jobs`` sets the worker (and, for ``processes``, part) count;
+        ``cache`` — a
         :class:`~repro.core.summary_cache.SummaryCache` or a directory
         path — skips every cluster whose sliced sub-program fingerprint
         already has a stored outcome.  Results are per-cluster outcome
@@ -202,8 +193,6 @@ class BootstrapResult:
         resilience path; faulted payloads keep their clean fingerprints.
         """
         targets = list(clusters) if clusters is not None else self.clusters
-        if backend is None:
-            backend = "simulate" if simulate else "threads"
         cache_obj = SummaryCache(cache) if isinstance(cache, str) else cache
         parts = self.config.parts
         if backend == "processes" and jobs is not None:
@@ -301,7 +290,7 @@ class BootstrapResult:
                         payloads: Optional[List[Dict[str, Any]]],
                         policy: RunPolicy,
                         attempts_map: Dict[int, int]):
-        """The in-process (simulate/threads) analogue of the resilient
+        """The in-process (simulate) analogue of the resilient
         worker path: fire injected faults, retry with backoff, validate,
         and degrade down the cascade on persistent failure.  Reuses the
         already-computed Steensgaard result for the coarsest rung."""

@@ -7,13 +7,11 @@ accumulated pointer count exceeds the target; report the *maximum* part
 time as the parallel wall-clock.  :func:`greedy_parts` reproduces that
 heuristic verbatim.
 
-This module additionally provides real execution backends behind one
+This module additionally provides a real execution backend behind one
 :class:`ParallelRunner` API:
 
 * ``simulate`` — the paper's setup: run sequentially, account time per
   scheduled part;
-* ``threads`` — a thread pool (CPython threads share the GIL, so this
-  demonstrates the API rather than true speedup);
 * ``processes`` — a ``ProcessPoolExecutor``: each part's clusters are
   shipped to a worker as sliced sub-programs
   (:mod:`~repro.core.shipping`) and analyzed there, which is the real
@@ -31,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -52,7 +50,7 @@ from .clusters import Cluster
 T = TypeVar("T")
 
 #: The execution backends ``ParallelRunner`` (and the CLI) accept.
-BACKENDS = ("simulate", "threads", "processes")
+BACKENDS = ("simulate", "processes")
 
 #: The schedulers mapping clusters to parts.
 SCHEDULERS = ("greedy", "lpt")
@@ -235,19 +233,15 @@ class ParallelRunner(Generic[T]):
     """Run one task per cluster, aggregating times per scheduled part.
 
     ``backend`` selects execution: ``"simulate"`` (the paper's setup —
-    sequential, time *accounted* per part), ``"threads"`` (thread pool;
-    GIL-bound), or ``"processes"`` (real multiprocess execution; requires
-    per-cluster payloads, see :meth:`run_payloads`).  The legacy
-    ``simulate`` flag maps to the first two.  ``jobs`` caps worker count
-    (defaults to ``parts``).
+    sequential, time *accounted* per part) or ``"processes"`` (real
+    multiprocess execution; requires per-cluster payloads, see
+    :meth:`run_payloads`).  ``jobs`` caps worker count (defaults to
+    ``parts``).
     """
 
-    def __init__(self, parts: int = 5, simulate: bool = True,
-                 backend: Optional[str] = None,
+    def __init__(self, parts: int = 5, backend: str = "simulate",
                  scheduler: str = "greedy",
                  jobs: Optional[int] = None) -> None:
-        if backend is None:
-            backend = "simulate" if simulate else "threads"
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r} "
                              f"(have: {', '.join(BACKENDS)})")
@@ -255,14 +249,13 @@ class ParallelRunner(Generic[T]):
         self.backend = backend
         self.scheduler = scheduler
         self.jobs = jobs if jobs is not None else parts
-        self.simulate = backend == "simulate"
 
     # ------------------------------------------------------------------
     def run(self, clusters: Sequence[Cluster],
             task: Callable[[Cluster], T]) -> ParallelReport:
-        """Execute ``task`` per cluster under the ``simulate`` or
-        ``threads`` backend (in-process callables cannot cross a process
-        boundary; use :meth:`run_payloads` for ``processes``)."""
+        """Execute ``task`` per cluster under the ``simulate`` backend
+        (in-process callables cannot cross a process boundary; use
+        :meth:`run_payloads` for ``processes``)."""
         if self.backend == "processes":
             raise ValueError(
                 "the processes backend ships serialized payloads, not "
@@ -284,11 +277,7 @@ class ParallelRunner(Generic[T]):
                 acc += elapsed
             return acc
 
-        if self.backend == "simulate":
-            part_times = [run_part(part) for part in schedule]
-        else:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                part_times = list(pool.map(run_part, schedule))
+        part_times = [run_part(part) for part in schedule]
         return ParallelReport(
             part_times=part_times, cluster_times=cluster_times,
             results=results, backend=self.backend,

@@ -41,14 +41,10 @@ from ..ir import CallGraph, CFG, Loc, Program, Var
 from ..ir.program import Function
 from ..ir.serialize import (
     SymbolTable,
-    cluster_from_dict,
     cluster_from_wire,
-    cluster_to_dict,
     cluster_to_wire,
     decode_symbols,
-    program_from_dict,
     program_from_wire,
-    program_to_dict,
     program_to_wire,
     slice_to_wire,
 )
@@ -61,10 +57,7 @@ from .relevant import RelevantSlice
 #: simply stop matching.  Version 2 interns every symbol into a
 #: per-payload table (``syms``) shipped once, with statements and
 #: slices referring to symbols by index; ``base_syms`` marks the table
-#: prefix shared by sibling clusters of one partition.  Version 1 (every
-#: symbol inline, repeated) is still readable and still buildable via
-#: ``build_payload(compact=False)`` — it is the regression baseline the
-#: payload-size test compares against.
+#: prefix shared by sibling clusters of one partition.
 PAYLOAD_VERSION = 2
 
 _SLICED = Skip("sliced")
@@ -158,43 +151,25 @@ def build_payload(program: Program, cluster: Cluster,
                   max_cond_atoms: int = 4,
                   budget: Optional[int] = None,
                   subprogram_cache: Optional[Dict[int, Any]] = None,
-                  compact: bool = True,
                   ) -> Dict[str, Any]:
     """Everything a worker needs to analyze one cluster, JSON-safe.
 
-    ``compact`` (default) emits the version-2 interned format: one
-    symbol table per payload, everything else referring to symbols by
-    index.  ``compact=False`` emits the legacy version-1 format with
-    inline symbol dicts — kept for size-regression comparison.
+    The payload is the interned wire format (:data:`PAYLOAD_VERSION`):
+    one symbol table per payload, everything else referring to symbols
+    by index.
 
     Sibling clusters of one partition share a base slice and hence a
     sub-program; pass one ``subprogram_cache`` dict across a batch of
-    ``build_payload`` calls to serialize each sub-program (and, for the
-    compact format, its symbol-table prefix) only once (the cache is
-    keyed by base-slice identity, so it is only valid while the cluster
-    objects it served are alive).
+    ``build_payload`` calls to serialize each sub-program and its
+    symbol-table prefix only once (the cache is keyed by base-slice
+    identity, so it is only valid while the cluster objects it served
+    are alive).
     """
     base = _base_slice(cluster)
     config = {"max_cond_atoms": max_cond_atoms, "budget": budget}
-    if not compact:
-        sub_dict = None
-        if subprogram_cache is not None:
-            sub_dict = subprogram_cache.get(("v1", id(base)))
-        if sub_dict is None:
-            sub = cluster_subprogram(program, cluster, callgraph)
-            sub_dict = program_to_dict(sub)
-            if subprogram_cache is not None:
-                subprogram_cache[("v1", id(base))] = sub_dict
-        return {
-            "version": 1,
-            "subprogram": sub_dict,
-            "cluster": cluster_to_dict(cluster),
-            "config": config,
-        }
-
     entry = None
     if subprogram_cache is not None:
-        entry = subprogram_cache.get(("v2", id(base)))
+        entry = subprogram_cache.get(id(base))
     if entry is None:
         sub = cluster_subprogram(program, cluster, callgraph)
         table = SymbolTable()
@@ -206,7 +181,7 @@ def build_payload(program: Program, cluster: Cluster,
         base_wire = slice_to_wire(base, table)
         entry = (sub_wire, base_wire, table, len(table), len(table.fnames))
         if subprogram_cache is not None:
-            subprogram_cache[("v2", id(base))] = entry
+            subprogram_cache[id(base)] = entry
     sub_wire, base_wire, base_table, base_syms, base_fnames = entry
     table = base_table.clone()
     if cluster.parent_slice is not None:
@@ -275,41 +250,35 @@ def _fsci_fingerprint(payload: Dict[str, Any]) -> str:
     """Key for the worker-local shared-FSCI cache: sibling clusters of
     one partition ship identical sub-programs and parent slices.
 
-    For the interned format the shared symbol prefix (``base_syms``
-    entries) joins the hash — the same wire indices mean different
-    symbols under different tables, so the prefix is what gives the
-    sub-program and parent slice their meaning.
+    The shared symbol prefix (``base_syms`` entries) joins the hash —
+    the same wire indices mean different symbols under different
+    tables, so the prefix is what gives the sub-program and parent slice
+    their meaning.
     """
     cluster = payload["cluster"]
     parent = cluster.get("parent_slice", cluster["slice"])
-    if payload.get("version", 1) >= 2:
-        return _digest({
-            "syms": payload["syms"][:payload["base_syms"]],
-            "fnames": payload["fnames"][:payload["base_fnames"]],
-            "subprogram": payload["subprogram"],
-            "parent": parent,
-        })
-    return _digest({"subprogram": payload["subprogram"], "parent": parent})
+    return _digest({
+        "syms": payload["syms"][:payload["base_syms"]],
+        "fnames": payload["fnames"][:payload["base_fnames"]],
+        "subprogram": payload["subprogram"],
+        "parent": parent,
+    })
 
 
 def payload_program(payload: Dict[str, Any]) -> Program:
-    """Decode a payload's sub-program, whichever format it ships."""
-    if payload.get("version", 1) >= 2:
-        fnames = payload["fnames"]
-        return program_from_wire(payload["subprogram"],
-                                 decode_symbols(payload["syms"], fnames),
-                                 fnames)
-    return program_from_dict(payload["subprogram"])
+    """Decode a payload's sub-program."""
+    fnames = payload["fnames"]
+    return program_from_wire(payload["subprogram"],
+                             decode_symbols(payload["syms"], fnames),
+                             fnames)
 
 
 def payload_cluster(payload: Dict[str, Any]) -> Cluster:
-    """Decode a payload's cluster, whichever format it ships."""
-    if payload.get("version", 1) >= 2:
-        fnames = payload["fnames"]
-        return cluster_from_wire(payload["cluster"],
-                                 decode_symbols(payload["syms"], fnames),
-                                 fnames)
-    return cluster_from_dict(payload["cluster"])
+    """Decode a payload's cluster."""
+    fnames = payload["fnames"]
+    return cluster_from_wire(payload["cluster"],
+                             decode_symbols(payload["syms"], fnames),
+                             fnames)
 
 
 def cluster_outcome(analysis: ClusterFSCS) -> Dict[str, Any]:

@@ -151,6 +151,8 @@ class FleetConfig:
         spawned worker."""
         cfg = self.server
         args = ["--entry", cfg.entry, "--threshold", str(cfg.threshold),
+                "--clustering", cfg.clustering,
+                "--sharing-bound", str(cfg.sharing_bound),
                 "--parts", str(cfg.parts), "--backend", cfg.backend,
                 "--scheduler", cfg.scheduler,
                 "--max-files", str(cfg.max_files),
@@ -159,6 +161,8 @@ class FleetConfig:
                 "--retries", str(cfg.retries)]
         if cfg.oneflow:
             args.append("--oneflow")
+        if cfg.cutshortcut:
+            args.append("--cutshortcut")
         if cfg.jobs is not None:
             args += ["--jobs", str(cfg.jobs)]
         if cfg.cache_dir is not None:

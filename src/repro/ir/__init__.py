@@ -13,9 +13,7 @@ from .dot import (
 from .printer import format_cfg, format_program
 from .serialize import (
     SymbolTable,
-    cluster_from_dict,
     cluster_from_wire,
-    cluster_to_dict,
     cluster_to_wire,
     decode_symbols,
     load_program,
@@ -24,9 +22,7 @@ from .serialize import (
     program_to_dict,
     program_to_wire,
     save_program,
-    slice_from_dict,
     slice_from_wire,
-    slice_to_dict,
     slice_to_wire,
 )
 from .program import Function, Program, param_var, retval_var
@@ -53,12 +49,12 @@ __all__ = [
     "Copy", "ExternCall", "Function", "FunctionBuilder", "Load", "Loc", "MemObject",
     "NullAssign", "Program", "ProgramBuilder", "ReturnStmt", "Skip",
     "Span", "Statement", "Store", "Var", "andersen_dot", "callgraph_dot", "cfg_dot", "cutshortcut_dot", "format_cfg", "format_program", "steensgaard_dot",
-    "SymbolTable", "cluster_from_dict", "cluster_from_wire",
-    "cluster_to_dict", "cluster_to_wire", "decode_symbols",
+    "SymbolTable", "cluster_from_wire", "cluster_to_wire",
+    "decode_symbols",
     "function_sentinel", "is_canonical", "location_labels", "param_var",
     "load_program", "program_from_dict", "program_from_wire",
     "program_to_dict", "program_to_wire", "resolve_indirect_calls",
     "retval_var", "save_program",
-    "slice_from_dict", "slice_from_wire", "slice_to_dict", "slice_to_wire",
+    "slice_from_wire", "slice_to_wire",
     "straight_line",
 ]

@@ -8,27 +8,23 @@ inputs.  The format is versioned and round-trips exactly:
     prog2 = program_from_dict(data)
     assert format_program(prog) == format_program(prog2)
 
-Beyond whole programs, the module round-trips the cascade's work units so
-the process-pool backend can ship one cluster per task:
-:func:`slice_to_dict` / :func:`slice_from_dict` handle Algorithm 1
-slices, and :func:`cluster_to_dict` / :func:`cluster_from_dict` handle
-:class:`~repro.core.clusters.Cluster` (members, slice, origin, parent
-provenance).  All collection fields are emitted in a canonical sorted
-order, so equal values serialize to byte-identical JSON — the summary
-cache hashes these dicts.
-
-Two encodings exist for shipped work units:
+Two encodings exist:
 
 * the *plain* dict encoding above, where every ``Var``/``AllocSite``
   appears as an inline ``{"n", "f"}`` / ``{"alloc"}`` dict — verbose but
-  self-contained, and the format whole-program dumps keep using;
+  self-contained, the format whole-program dumps use;
 * the *wire* encoding (:class:`SymbolTable`, :func:`program_to_wire`,
   :func:`slice_to_wire`, :func:`cluster_to_wire` and their inverses),
   where each distinct symbol is emitted once in a shared table and every
-  occurrence is an integer index.  Cluster payloads repeat the same
-  symbols dozens of times, so interning them once per payload is what
-  slims the process-backend's shipping cost (see
-  :mod:`repro.core.shipping`).
+  occurrence is an integer index.  It round-trips the cascade's work
+  units — Algorithm 1 slices and :class:`~repro.core.clusters.Cluster`
+  (members, slice, origin, parent provenance) — so the process-pool
+  backend can ship one cluster per task (see
+  :mod:`repro.core.shipping`).  Cluster payloads repeat the same symbols
+  dozens of times, so interning them once per payload is what slims the
+  shipping cost.  All collection fields are emitted in a canonical
+  sorted order, so equal values serialize to byte-identical JSON — the
+  summary cache hashes these payloads.
 
 Both encodings share one statement codec, so they cannot drift apart.
 """
@@ -242,77 +238,12 @@ def load_program(path: str) -> Program:
 
 
 # ----------------------------------------------------------------------
-# clusters and slices (the parallel backend's unit of shipment)
-# ----------------------------------------------------------------------
-
-def _obj_key(d: Dict[str, Any]) -> tuple:
-    """Canonical sort key for a serialized MemObject dict."""
-    if "alloc" in d:
-        return (1, d["alloc"], "")
-    return (0, d["n"], d["f"] or "")
-
-
-def _loc(loc: Loc) -> List[Any]:
-    return [loc.function, loc.index]
-
-
-def _load_loc(data: List[Any]) -> Loc:
-    return Loc(data[0], data[1])
-
-
-def slice_to_dict(slice_: "RelevantSlice") -> Dict[str, Any]:
-    """A JSON-safe dict for one Algorithm 1 slice (canonically sorted)."""
-    return {
-        "cluster": sorted((_obj(o) for o in slice_.cluster), key=_obj_key),
-        "vp": sorted((_obj(o) for o in slice_.vp), key=_obj_key),
-        "stmts": sorted(_loc(loc) for loc in slice_.statements),
-    }
-
-
-def slice_from_dict(data: Dict[str, Any]) -> "RelevantSlice":
-    """Inverse of :func:`slice_to_dict`."""
-    from ..core.relevant import RelevantSlice
-    return RelevantSlice(
-        cluster=frozenset(_load_obj(d) for d in data["cluster"]),
-        vp=frozenset(_load_obj(d) for d in data["vp"]),
-        statements=frozenset(_load_loc(d) for d in data["stmts"]))
-
-
-def cluster_to_dict(cluster: "Cluster") -> Dict[str, Any]:
-    """A JSON-safe dict for one cascade cluster, parent provenance
-    included (the process backend reconstructs the exact sibling-shared
-    FSCI setup from it)."""
-    out: Dict[str, Any] = {
-        "members": sorted((_obj(o) for o in cluster.members), key=_obj_key),
-        "slice": slice_to_dict(cluster.slice),
-        "origin": cluster.origin,
-        "parent_size": cluster.parent_size,
-    }
-    if cluster.parent_slice is not None:
-        out["parent_slice"] = slice_to_dict(cluster.parent_slice)
-    return out
-
-
-def cluster_from_dict(data: Dict[str, Any]) -> "Cluster":
-    """Inverse of :func:`cluster_to_dict`."""
-    from ..core.clusters import Cluster
-    parent = data.get("parent_slice")
-    return Cluster(
-        members=frozenset(_load_obj(d) for d in data["members"]),
-        slice=slice_from_dict(data["slice"]),
-        origin=data["origin"],
-        parent_size=data["parent_size"],
-        parent_slice=slice_from_dict(parent) if parent is not None else None)
-
-
-# ----------------------------------------------------------------------
 # interned wire encoding (symbols shipped once, referenced by index)
 # ----------------------------------------------------------------------
 
 def _mem_key(o: MemObject) -> tuple:
-    """Canonical sort key directly on a MemObject — the object-side twin
-    of :func:`_obj_key`, so wire and plain encodings order collections
-    identically."""
+    """Canonical sort key for a MemObject: equal collections encode in
+    one order, whatever their set-iteration order."""
     if isinstance(o, AllocSite):
         return (1, o.label, "")
     return (0, o.name, o.function or "")
@@ -510,7 +441,8 @@ def program_from_wire(data: Dict[str, Any], objs: List[MemObject],
 
 def slice_to_wire(slice_: "RelevantSlice",
                   table: SymbolTable) -> Dict[str, Any]:
-    """Wire twin of :func:`slice_to_dict`."""
+    """A JSON-safe encoding of one Algorithm 1 slice (canonically
+    sorted), its symbols interned into ``table``."""
     ref = table.ref
     return {
         "cluster": [ref(o) for o in sorted(slice_.cluster, key=_mem_key)],
@@ -535,9 +467,11 @@ def slice_from_wire(data: Dict[str, Any], objs: List[MemObject],
 def cluster_to_wire(cluster: "Cluster", table: SymbolTable,
                     parent_wire: Optional[Dict[str, Any]] = None
                     ) -> Dict[str, Any]:
-    """Wire twin of :func:`cluster_to_dict`.  ``parent_wire`` lets the
-    caller reuse an already-encoded parent slice (sibling clusters
-    ship one shared encoding)."""
+    """A JSON-safe encoding of one cascade cluster, parent provenance
+    included (the process backend reconstructs the exact sibling-shared
+    FSCI setup from it).  ``parent_wire`` lets the caller reuse an
+    already-encoded parent slice (sibling clusters ship one shared
+    encoding)."""
     out: Dict[str, Any] = {
         "members": [table.ref(o)
                     for o in sorted(cluster.members, key=_mem_key)],

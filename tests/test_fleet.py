@@ -228,8 +228,67 @@ class TestRoutingState:
         assert args[args.index("--fscs-budget") + 1] == "77"
         assert "--no-watch" in args
 
+    def test_serve_args_round_trip_through_serve_parser(self, tmp_path):
+        """Spawned workers must analyze exactly as the coordinator
+        routes: every ServerConfig field ``repro serve`` has a flag for
+        survives serve_args() -> the serve subparser -> _server_config."""
+        import argparse
+
+        from repro.cli import _server_config, build_parser
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        serve = subparsers.choices["serve"]
+        # Bind address and positional files are not analysis config.
+        renamed = {"cache": "cache_dir", "no_watch": "watch"}
+        flagged = {renamed.get(a.dest, a.dest) for a in serve._actions
+                   if a.dest not in ("help", "socket", "host", "port",
+                                     "files")}
+        server = ServerConfig(
+            entry="start", threshold=9, oneflow=True,
+            clustering="steensgaard_fs", sharing_bound=4, cutshortcut=True,
+            parts=3, backend="processes", jobs=2, scheduler="lpt",
+            fscs_budget=77, max_clusters=99, max_files=5,
+            cache_dir=str(tmp_path), watch=False, max_request_bytes=123456,
+            cluster_timeout=1.5, retries=2, degrade=True)
+        default = ServerConfig()
+        # Every flag is exercised with a non-default value.
+        assert {f for f in flagged
+                if getattr(server, f) == getattr(default, f)} == set()
+        parsed = parser.parse_args(
+            ["serve", "--socket", "w.sock"]
+            + FleetConfig(server=server).serve_args())
+        rebuilt = _server_config(parsed)
+        assert {f: getattr(rebuilt, f) for f in flagged} == \
+            {f: getattr(server, f) for f in flagged}
+
 
 # ----------------------------------------------------------------------
+def _stop_process(pid, timeout=10.0):
+    """SIGSTOP ``pid`` and wait until every one of its threads has
+    entered the stop.  SIGSTOP reaches a multi-threaded daemon through
+    one thread; until that thread runs, another one can still answer a
+    request that arrives in the gap."""
+    os.kill(pid, signal.SIGSTOP)
+    tasks = f"/proc/{pid}/task"
+    if not os.path.isdir(tasks):  # no procfs: nothing to wait on
+        return
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        states = []
+        for tid in os.listdir(tasks):
+            try:
+                with open(f"{tasks}/{tid}/stat") as handle:
+                    # state follows the parenthesized command name
+                    states.append(handle.read().rsplit(")", 1)[1].split()[0])
+            except OSError:
+                pass  # the thread exited meanwhile
+        if states and all(state in ("T", "t") for state in states):
+            return
+        time.sleep(0.005)
+    raise AssertionError(f"process {pid} did not stop within {timeout}s")
+
+
 def _start_coordinator(config):
     coordinator = FleetCoordinator(config, port=0)
     ready = threading.Event()
@@ -628,8 +687,8 @@ class TestHedgedQueries:
                 victim_name = "p"
                 home = warm[victim_name]["fleet"]["worker"]
                 status = client.fleet_status()
-                os.kill(status["workers"][home]["pid"], signal.SIGSTOP)
                 stopped = status["workers"][home]["pid"]
+                _stop_process(stopped)
 
                 hedged = client.points_to(fleet_demo, victim_name)
                 tag = hedged.pop("fleet")

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import FSCI, Andersen
 from repro.analysis.kernel import BitSet, IntUnionFind, NodeTable, iter_bits, popcount
+from repro.analysis.reference import ReferenceAndersen, ReferenceFSCI
 from repro.bench.profile_solvers import check_gate, render, run_kernel_bench
 from repro.ir import AllocSite, Loc, Var
 
@@ -192,8 +193,8 @@ ZOO = [figure2_program, figure3_program, figure4_program,
        call_chain_program]
 
 
-def _andersen_state(program, **kw):
-    result = Andersen(program, **kw).run()
+def _andersen_state(program, solver=Andersen, **kw):
+    result = solver(program, **kw).run()
     return ({p: result.points_to(p) for p in program.pointers},
             result.clusters(include_singletons=True))
 
@@ -203,24 +204,23 @@ class TestAndersenDifferential:
                              ids=[f.__name__ for f in ZOO])
     def test_zoo_bit_identical(self, factory):
         program = factory()
-        assert _andersen_state(program, use_kernel=True) == \
-            _andersen_state(program, use_kernel=False)
+        assert _andersen_state(program) == \
+            _andersen_state(program, ReferenceAndersen)
         # Cycle elimination off exercises the no-collapse code path.
-        assert _andersen_state(program, use_kernel=True,
-                               cycle_elimination=False) == \
-            _andersen_state(program, use_kernel=False,
+        assert _andersen_state(program, cycle_elimination=False) == \
+            _andersen_state(program, ReferenceAndersen,
                             cycle_elimination=False)
 
     @given(program=programs())
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_random_programs_bit_identical(self, program):
-        assert _andersen_state(program, use_kernel=True) == \
-            _andersen_state(program, use_kernel=False)
+        assert _andersen_state(program) == \
+            _andersen_state(program, ReferenceAndersen)
 
 
-def _fsci_state(program, use_kernel):
-    result = FSCI(program, use_kernel=use_kernel).run()
+def _fsci_state(program, solver):
+    result = solver(program).run()
     state = {"iterations": result.iterations,
              "summary": {p: result.points_to(p)
                          for p in program.pointers}}
@@ -246,14 +246,15 @@ class TestFSCIDifferential:
                              ids=[f.__name__ for f in ZOO])
     def test_zoo_bit_identical(self, factory):
         program = factory()
-        assert _fsci_state(program, True) == _fsci_state(program, False)
+        assert _fsci_state(program, FSCI) == \
+            _fsci_state(program, ReferenceFSCI)
 
     @pytest.mark.parametrize("factory", ZOO[:3],
                              ids=[f.__name__ for f in ZOO[:3]])
     def test_pairwise_accessors_agree(self, factory):
         program = factory()
-        kern = FSCI(program, use_kernel=True).run()
-        ref = FSCI(program, use_kernel=False).run()
+        kern = FSCI(program).run()
+        ref = ReferenceFSCI(program).run()
         ptrs = sorted(program.pointers, key=str)
         for fname, fn in program.functions.items():
             for idx in fn.cfg.nodes():
@@ -272,7 +273,8 @@ class TestFSCIDifferential:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_random_programs_bit_identical(self, program):
-        assert _fsci_state(program, True) == _fsci_state(program, False)
+        assert _fsci_state(program, FSCI) == \
+            _fsci_state(program, ReferenceFSCI)
 
 
 _CLUSTER_SCRIPT = """
@@ -309,8 +311,8 @@ class TestClusterDeterminism:
 
     def test_kernel_and_reference_emit_same_clusters(self):
         program = figure5_program()
-        kern = Andersen(program, use_kernel=True).run()
-        ref = Andersen(program, use_kernel=False).run()
+        kern = Andersen(program).run()
+        ref = ReferenceAndersen(program).run()
         assert kern.clusters(include_singletons=True) == \
             ref.clusters(include_singletons=True)
         assert kern.clusters(include_singletons=False) == \

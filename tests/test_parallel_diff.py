@@ -4,10 +4,12 @@ The processes backend rebuilds each cluster's sliced sub-program in a
 worker with its own interpreter (and its own ``PYTHONHASHSEED``), so any
 unsoundness in the slicing, serialization, or a hash-order dependence in
 the analyses would show up as a points-to difference against the
-in-process backends.  These tests pin the contract: for every corpus
-program and example, all three backends produce bit-identical per-cluster
-points-to sets, the diagnostic commands are deterministic across hash
-seeds, and the report covers every cluster exactly once.
+in-process simulate backend.  These tests pin the contract: for every
+corpus program and example, both backends produce bit-identical
+per-cluster points-to sets, the bitmask solver kernels agree with the
+frozenset reference solvers end to end, the diagnostic commands are
+deterministic across hash seeds, and the report covers every cluster
+exactly once.
 """
 
 import json
@@ -17,6 +19,11 @@ import sys
 
 import pytest
 
+from repro.analysis.reference import (
+    ReferenceAndersen,
+    ReferenceFSCI,
+    ReferenceFSCIResult,
+)
 from repro.bench import corpus_configs, generate
 from repro.frontend import parse_program
 from repro.core import BootstrapAnalyzer, BootstrapConfig, CascadeConfig
@@ -96,17 +103,14 @@ int main() {
 """
 
 
-def _fresh(program, use_kernel=True):
-    config = BootstrapConfig(
-        cascade=CascadeConfig(andersen_threshold=6),
-        use_kernel=use_kernel)
+def _fresh(program):
+    config = BootstrapConfig(cascade=CascadeConfig(andersen_threshold=6))
     return BootstrapAnalyzer(program, config).run()
 
 
-def _outcomes(program, backend, use_kernel=True, **kw):
+def _outcomes(program, backend, **kw):
     """Per-cluster outcomes from a fresh analysis under one backend."""
-    report = _fresh(program, use_kernel).analyze_all(backend=backend, **kw)
-    return report
+    return _fresh(program).analyze_all(backend=backend, **kw)
 
 
 def _points_to(report):
@@ -129,32 +133,40 @@ class TestCorpusDifferential:
                    if c.name == name)
         program = generate(cfg).program
         sim = _outcomes(program, "simulate")
-        thr = _outcomes(program, "threads", jobs=2)
         prc = _outcomes(program, "processes", jobs=2, scheduler="lpt")
-        assert _points_to(sim) == _points_to(thr) == _points_to(prc)
+        assert _points_to(sim) == _points_to(prc)
         # Non-timing stats must agree too: the workers run the same
         # summary construction on the same sliced programs.
         key = "summarized_functions"
         assert [r["stats"][key] for r in sim.results] == \
             [r["stats"][key] for r in prc.results]
         n = len(sim.results)
-        for report in (sim, thr, prc):
+        for report in (sim, prc):
             _assert_full_coverage(report, n)
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
-    def test_kernel_on_off_agree(self, name):
-        """The bitmask kernels are pure representation: switching them
-        off (frozenset reference backends) must not change any cluster,
-        any outcome, or any payload fingerprint."""
+    def test_kernel_on_off_agree(self, name, monkeypatch):
+        """The bitmask kernels are pure representation: swapping the
+        frozenset reference solvers in at every binding the cascade and
+        the cluster analyses solve through must not change any cluster
+        or any outcome."""
         cfg = next(c for c in corpus_configs(scale=SCALE)
                    if c.name == name)
         program = generate(cfg).program
-        on = _outcomes(program, "simulate", use_kernel=True)
-        off = _outcomes(program, "simulate", use_kernel=False)
+        kernel = _fresh(program)
+        on = kernel.analyze_all()
+        monkeypatch.setattr("repro.core.clusters.Andersen",
+                            ReferenceAndersen)
+        monkeypatch.setattr("repro.analysis.fscs.FSCI", ReferenceFSCI)
+        reference = _fresh(program)
+        off = reference.analyze_all()
+        assert isinstance(reference.analysis_for(reference.clusters[0]).fsci,
+                          ReferenceFSCIResult)
+        assert [c.members for c in kernel.clusters] == \
+            [c.members for c in reference.clusters]
         assert _points_to(on) == _points_to(off)
         assert [r["stats"] for r in on.results] == \
             [r["stats"] for r in off.results]
-        assert len(on.results) == len(off.results)
 
 
 class TestExamplesDifferential:
@@ -163,9 +175,8 @@ class TestExamplesDifferential:
         with open(os.path.join(EXAMPLES_DIR, example)) as handle:
             program = parse_program(handle.read(), path=example)
         sim = _outcomes(program, "simulate")
-        thr = _outcomes(program, "threads", jobs=2)
         prc = _outcomes(program, "processes", jobs=2)
-        assert _points_to(sim) == _points_to(thr) == _points_to(prc)
+        assert _points_to(sim) == _points_to(prc)
         _assert_full_coverage(prc, len(sim.results))
 
     def test_schedulers_agree(self):
@@ -178,7 +189,7 @@ class TestExamplesDifferential:
 
 
 #: Runs the whole corpus through the kernel solvers and digests every
-#: per-cluster points-to set; three backends on one representative
+#: per-cluster points-to set; both backends on one representative
 #: program pin the worker path (workers inherit a fresh random
 #: PYTHONHASHSEED of their own on top of the one we set).
 _CORPUS_DIGEST_SCRIPT = """
@@ -191,8 +202,7 @@ for cfg in corpus_configs(scale=%r):
     program = generate(cfg).program
     config = BootstrapConfig(cascade=CascadeConfig(andersen_threshold=6))
     boot = BootstrapAnalyzer(program, config).run()
-    backends = (("simulate", {}), ("threads", {"jobs": 2}),
-                ("processes", {"jobs": 2})) \
+    backends = (("simulate", {}), ("processes", {"jobs": 2})) \
         if cfg.name == "ctrace" else (("simulate", {}),)
     for backend, kw in backends:
         report = boot.analyze_all(backend=backend, **kw)

@@ -756,19 +756,37 @@ class TestClientReconnect:
         with pytest.raises(ServerError):
             ServerClient(socket_path=sock, reconnect_attempts=0)
 
-    def test_timeout_is_never_retried(self, unix_daemon, tmp_path):
-        _server, sock = unix_daemon
-        big = tmp_path / "big.c"
-        from repro.bench.synth import SynthConfig, generate_source
-        big.write_text(generate_source(
-            SynthConfig(name="slow", pointers=160)))
-        client = ServerClient(socket_path=sock, timeout=0.05)
+    def test_timeout_is_never_retried(self):
+        # A listener that accepts and never replies: the read times out
+        # however fast the host would have answered a real query.
+        sock_path = os.path.join(tempfile.mkdtemp(prefix="repro-srv-"),
+                                 "silent.sock")
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(sock_path)
+        listener.listen(4)
+        listener.settimeout(30.0)
+        accepted = []
+
+        def accept_silently():
+            try:
+                accepted.append(listener.accept()[0])
+            except OSError:
+                pass
+
+        acceptor = threading.Thread(target=accept_silently)
+        acceptor.start()
+        client = ServerClient(socket_path=sock_path, timeout=0.05)
         try:
             with pytest.raises(socket.timeout):
-                client.points_to(str(big), "w0p0")   # cold load >> 50ms
+                client.points_to("demo.c", "p")
             assert client.reconnects == 0            # no resend
         finally:
             client.close()
+            acceptor.join(30.0)
+            assert not acceptor.is_alive()
+            for conn in accepted:
+                conn.close()
+            listener.close()
 
 
 class TestDegradedAnswers:
