@@ -21,10 +21,8 @@ facts the client needs and never silently under-approximates: an
 out-of-slice pointer is *reported*, not guessed at.
 
 This module owns the loop; clients are callables receiving a
-:class:`DemandView` per round.  ``checkers.base.CheckerContext`` and
-``checkers.taint.run_taint`` delegate here (their hand-rolled copies are
-gone), and ``checkers/leak.py`` / ``checkers/deadlock.py`` are built
-directly on :meth:`DemandEngine.run`.
+:class:`DemandView` per round.  ``checkers.base.run_checker`` runs every
+checker through :meth:`DemandEngine.run`.
 
 Layering note: ``core`` imports ``analysis``, so the ``core.queries``
 import below is function-level by necessity.

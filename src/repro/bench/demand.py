@@ -127,8 +127,8 @@ def run_savings(pointers: int = 240, leak_webs: int = 9,
     for name, runner in clients.items():
         demand_run, demand_s = best_of(lambda: runner(False))
         whole_run, whole_s = best_of(lambda: runner(True))
-        score = _leak_score(sp, demand_run.leaked) if name == "leaks" \
-            else _deadlock_score(sp, demand_run.cycles)
+        score = _leak_score(sp, demand_run.value) if name == "leaks" \
+            else _deadlock_score(sp, demand_run.value.cycles)
         selected = max(1, demand_run.stats.clusters_selected)
         out["clients"][name] = {
             "demand": _mode_stats(demand_run, demand_s),
@@ -169,10 +169,10 @@ def run_oracle_corpus(seeds: Sequence[int] = ORACLE_SEEDS,
         _, lock_cycles = execute_lock_orders(
             program, list(sp.thread_entries), max_steps=max_steps,
             max_paths=max_paths)
-        static_leaked = {str(site) for site in leak_run.leaked}
+        static_leaked = {str(site) for site in leak_run.value}
         oracle_leaked = {str(site) for site in heap.must_leaked}
         static_cycles = {frozenset(str(n) for n in c.nodes)
-                         for c in dl_run.cycles}
+                         for c in dl_run.value.cycles}
         oracle_cyc = {frozenset(str(o) for o in c) for c in lock_cycles}
         programs.append({
             "seed": seed,

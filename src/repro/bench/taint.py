@@ -55,7 +55,7 @@ def _whole_program_run(program, spec, result):
     from ..checkers.taint import _make_resolver
 
     ctx = CheckerContext(program, result)
-    fsci, selection = ctx.demand_fsci(frozenset(program.pointers))
+    fsci, selection = ctx.engine.sliced_fsci(program.pointers)
     tracked = set(program.pointers)
     for cluster in selection.selected:
         tracked |= cluster.slice.vp
@@ -94,7 +94,7 @@ def run_taint_bench(pointers: int = 160, taint_webs: int = 8,
             program, spec, result)
         whole_times.append(time.perf_counter() - t2)
 
-    demand_keys = sorted(f.key() for f in demand_run.flows)
+    demand_keys = sorted(f.key() for f in demand_run.value.flows)
     whole_keys = sorted(f.key() for f in whole_report.flows)
     demand_seconds = min(demand_times)
     whole_seconds = min(whole_times)
@@ -122,7 +122,7 @@ def run_taint_bench(pointers: int = 160, taint_webs: int = 8,
         "speedup": (whole_seconds / demand_seconds
                     if demand_seconds else 0.0),
         "ground_truth": _ground_truth_score(
-            sp, {f.sink_loc.function for f in demand_run.flows}),
+            sp, {f.sink_loc.function for f in demand_run.value.flows}),
     }
 
 

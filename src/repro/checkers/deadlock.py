@@ -22,23 +22,20 @@ deadlock is possible and the checker reports nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..analysis.demand_engine import DemandView, EngineStats
-from ..core.bootstrap import BootstrapAnalyzer, BootstrapResult
-from ..core.queries import DemandSelection
-from ..core.report import (
-    Diagnostic,
-    dedup_diagnostics,
-    suppress_diagnostics,
-)
+from ..analysis.demand_engine import Client, DemandView
+from ..core.bootstrap import BootstrapResult
+from ..core.report import Diagnostic
 from ..ir import AddrOf, ExternCall, Loc, MemObject, Program, Var
 from .base import (
     Checker,
     CheckerContext,
-    CheckerStats,
+    CheckerRun,
+    checker_context,
     register_checker,
+    run_checker,
 )
 
 RULE_ID = "repro-deadlock"
@@ -163,24 +160,12 @@ def _find_cycles(edges: List[LockOrderEdge]) -> List[LockOrderCycle]:
 
 
 @dataclass
-class DeadlockRunResult:
-    """Everything one :func:`run_deadlocks` invocation produced."""
+class LockOrderReport:
+    """One round of the deadlock client: the thread-realizable cycles
+    (sorted by key) and the thread entries they were checked against."""
 
-    diagnostics: List[Diagnostic]
     cycles: List[LockOrderCycle]
     thread_entries: List[str]
-    stats: CheckerStats
-    selection: DemandSelection
-    demanded: FrozenSet[Var]
-    rounds: int
-    engine: Optional[EngineStats] = None
-
-    @property
-    def counts(self):
-        out = {}
-        for d in self.diagnostics:
-            out[d.severity] = out.get(d.severity, 0) + 1
-        return out
 
 
 def _witness(cycle: LockOrderCycle) -> str:
@@ -212,82 +197,64 @@ def _cycle_diagnostic(ctx: CheckerContext,
         subject=cycle.key, trace=trace)
 
 
+@register_checker
+class DeadlockChecker(Checker):
+    """Lock-order cycles over must-alias lock pointers.  Thread entries
+    default to the functions passed to spawn-like primitives."""
+
+    name = CHECKER_NAME
+    rule_id = RULE_ID
+    description = "lock-order cycle realizable by two threads"
+
+    def __init__(self, thread_entries: Optional[List[str]] = None) -> None:
+        self.thread_entries = thread_entries
+
+    def interesting(self, program: Program) -> Set[Var]:
+        from ..applications.lockset import lock_pointers
+        return set(lock_pointers(program))
+
+    def client(self, ctx: CheckerContext) -> Client:
+        from ..applications.lockset import LocksetAnalysis
+        from ..applications.races import thread_assignment
+
+        program = ctx.program
+        entries = sorted(self.thread_entries) \
+            if self.thread_entries is not None else spawn_entries(program)
+        threads = thread_assignment(program, entries) \
+            if len(entries) >= 2 else {}
+
+        def cycles(view: DemandView):
+            if view.fsci is None or len(entries) < 2:
+                return LockOrderReport([], entries), ()
+            locks = LocksetAnalysis(program, fsci=view.fsci).run()
+            # Widen with any lock pointer whose cluster is not yet
+            # selected (its sites resolve ambiguously until it is).
+            demands = [s.pointer for s in locks.sites
+                       if s.pointer not in view.tracked]
+            found = _find_cycles(_build_edges(locks, threads))
+            return LockOrderReport(sorted(found, key=lambda c: c.key),
+                                   entries), demands
+        return cycles
+
+    def report(self, ctx: CheckerContext, value: LockOrderReport
+               ) -> List[Diagnostic]:
+        return [_cycle_diagnostic(ctx, c) for c in value.cycles]
+
+
 def run_deadlocks(program: Program,
                   result: Optional[BootstrapResult] = None,
                   ctx: Optional[CheckerContext] = None,
                   thread_entries: Optional[List[str]] = None,
                   max_rounds: int = 10,
                   budget: Optional[int] = None,
-                  whole_program: bool = False) -> DeadlockRunResult:
-    """Demand-driven deadlock / lock-order-cycle analysis.
+                  whole_program: bool = False) -> CheckerRun:
+    """Demand-driven deadlock / lock-order-cycle analysis; ``run.value``
+    is the :class:`LockOrderReport`.
 
     ``whole_program=True`` seeds the engine with every pointer in the
     program (the bench baseline): same client, no cluster savings.
     """
-    if ctx is None:
-        if result is None:
-            result = BootstrapAnalyzer(program).run()
-        ctx = CheckerContext(program, result)
-    entries = sorted(thread_entries) if thread_entries is not None \
-        else spawn_entries(program)
-
-    from ..applications.lockset import LocksetAnalysis, lock_pointers
-    from ..applications.races import thread_assignment
-
-    threads = thread_assignment(program, entries) if len(entries) >= 2 \
-        else {}
-
-    def client(view: DemandView):
-        if view.fsci is None or len(entries) < 2:
-            return [], ()
-        locks = LocksetAnalysis(program, fsci=view.fsci).run()
-        # Widen with any lock pointer whose cluster is not yet selected
-        # (its sites resolve ambiguously until it is).
-        demands = [s.pointer for s in locks.sites
-                   if s.pointer not in view.tracked]
-        edges = _build_edges(locks, threads)
-        return _find_cycles(edges), demands
-
-    seeds = set(program.pointers) if whole_program \
-        else set(lock_pointers(program))
-    outcome = ctx.engine.run(seeds, client,
-                             max_rounds=max_rounds, budget=budget)
-    selection = outcome.selection
-    cycles = sorted(outcome.value, key=lambda c: c.key)
-    raw = [_cycle_diagnostic(ctx, c) for c in cycles]
-    level = ctx.result.degraded_precision_of(selection.selected)
-    if level is not None:
-        raw = [replace(d, precision=level) for d in raw]
-    deduped = dedup_diagnostics(raw)
-    kept, dropped = suppress_diagnostics(deduped, program)
-    stats = CheckerStats(
-        checker=CHECKER_NAME,
-        findings=len(kept),
-        suppressed=dropped,
-        clusters_selected=len(selection.selected),
-        clusters_total=selection.total_clusters,
-        pointers_selected=selection.selected_pointers,
-        pointers_total=selection.total_pointers,
-    )
-    return DeadlockRunResult(
-        diagnostics=kept, cycles=cycles, thread_entries=entries,
-        stats=stats, selection=selection, demanded=outcome.demanded,
-        rounds=outcome.rounds, engine=outcome.stats)
-
-
-@register_checker
-class DeadlockChecker(Checker):
-    """Registry adapter so ``repro check`` and the daemon's
-    ``diagnostics`` method include deadlock findings (thread entries
-    auto-detected from spawn calls)."""
-
-    name = CHECKER_NAME
-    rule_id = RULE_ID
-    description = "lock-order cycle realizable by two threads"
-
-    def interesting(self, program: Program) -> Set[Var]:
-        from ..applications.lockset import lock_pointers
-        return set(lock_pointers(program))
-
-    def check(self, ctx: CheckerContext) -> List[Diagnostic]:
-        return run_deadlocks(ctx.program, ctx=ctx).diagnostics
+    return run_checker(checker_context(program, result, ctx),
+                       DeadlockChecker(thread_entries), max_rounds, budget,
+                       seeds=set(program.pointers) if whole_program
+                       else None)

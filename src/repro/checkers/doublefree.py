@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import List, Set
 
+from ..analysis.fsci import FSCIResult
 from ..core.report import Diagnostic
 from ..ir import NullAssign, Program, Var
 from .base import (
@@ -36,10 +37,8 @@ class DoubleFreeChecker(Checker):
         return {stmt.lhs for _loc, stmt in program.statements()
                 if isinstance(stmt, NullAssign) and stmt.is_free}
 
-    def check(self, ctx: CheckerContext) -> List[Diagnostic]:
-        fsci, _selection = ctx.demand_fsci(self.interesting(ctx.program))
-        if fsci is None:
-            return []
+    def report(self, ctx: CheckerContext, fsci: FSCIResult
+               ) -> List[Diagnostic]:
         free = ctx.free_facts(fsci)
         out: List[Diagnostic] = []
         for loc, stmt in free.free_sites():

@@ -23,23 +23,19 @@ them without demanding more clusters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..analysis.demand_engine import DemandView, EngineStats
-from ..core.bootstrap import BootstrapAnalyzer, BootstrapResult
-from ..core.queries import DemandSelection
-from ..core.report import (
-    Diagnostic,
-    dedup_diagnostics,
-    suppress_diagnostics,
-)
+from ..analysis.demand_engine import Client, DemandView
+from ..core.bootstrap import BootstrapResult
+from ..core.report import Diagnostic
 from ..ir import AddrOf, AllocSite, Loc, MemObject, NullAssign, Program, Var
 from .base import (
     Checker,
     CheckerContext,
-    CheckerStats,
+    CheckerRun,
+    checker_context,
     register_checker,
+    run_checker,
 )
 
 RULE_ID = "repro-memory-leak"
@@ -83,26 +79,6 @@ def _exit_reachable(cells: Dict[MemObject, FrozenSet[MemObject]],
     return reachable
 
 
-@dataclass
-class LeakRunResult:
-    """Everything one :func:`run_leaks` invocation produced."""
-
-    diagnostics: List[Diagnostic]
-    leaked: List[AllocSite]
-    stats: CheckerStats
-    selection: DemandSelection
-    demanded: FrozenSet[Var]
-    rounds: int
-    engine: Optional[EngineStats] = None
-
-    @property
-    def counts(self):
-        out = {}
-        for d in self.diagnostics:
-            out[d.severity] = out.get(d.severity, 0) + 1
-        return out
-
-
 def _leak_diagnostic(ctx: CheckerContext, loc: Loc, site: AllocSite,
                      exit_loc: Loc) -> Diagnostic:
     program = ctx.program
@@ -119,77 +95,15 @@ def _leak_diagnostic(ctx: CheckerContext, loc: Loc, site: AllocSite,
         checker=CHECKER_NAME, subject=str(site), trace=trace)
 
 
-def run_leaks(program: Program,
-              result: Optional[BootstrapResult] = None,
-              ctx: Optional[CheckerContext] = None,
-              max_rounds: int = 10,
-              budget: Optional[int] = None,
-              whole_program: bool = False) -> LeakRunResult:
-    """Demand-driven memory-leak analysis.
-
-    ``whole_program=True`` seeds the engine with every pointer in the
-    program (the bench baseline): same client, no cluster savings.
-    """
-    if ctx is None:
-        if result is None:
-            result = BootstrapAnalyzer(program).run()
-        ctx = CheckerContext(program, result)
-    entry = program.entry
-    exit_loc = Loc(entry, program.cfg_of(entry).exit)
-    sites = allocation_sites(program)
-    roots: Set[MemObject] = set(program.globals) \
-        | program.functions[entry].variables()
-
-    def client(view: DemandView):
-        if view.fsci is None:
-            return [], ()
-        cells = view.fsci.cells_after(exit_loc)
-        reachable = _exit_reachable(cells, roots)
-        facts = ctx.free_facts(view.fsci)
-        leaked: List[Tuple[Loc, AllocSite]] = []
-        for loc, site, ptr in sites:
-            if site in reachable:
-                continue
-            if not view.fsci.reached_before(loc):
-                continue  # the allocation itself never executes
-            if facts.freed_before(exit_loc, site):
-                continue  # freed on some path: not provably leaked
-            leaked.append((loc, site))
-        return leaked, ()
-
-    seeds = set(program.pointers) if whole_program \
-        else allocation_pointers(program)
-    outcome = ctx.engine.run(seeds, client,
-                             max_rounds=max_rounds, budget=budget)
-    selection = outcome.selection
-    leaked_pairs = sorted(outcome.value,
-                          key=lambda pair: (pair[0].function, pair[0].index))
-    raw = [_leak_diagnostic(ctx, loc, site, exit_loc)
-           for loc, site in leaked_pairs]
-    level = ctx.result.degraded_precision_of(selection.selected)
-    if level is not None:
-        raw = [replace(d, precision=level) for d in raw]
-    deduped = dedup_diagnostics(raw)
-    kept, dropped = suppress_diagnostics(deduped, program)
-    stats = CheckerStats(
-        checker=CHECKER_NAME,
-        findings=len(kept),
-        suppressed=dropped,
-        clusters_selected=len(selection.selected),
-        clusters_total=selection.total_clusters,
-        pointers_selected=selection.selected_pointers,
-        pointers_total=selection.total_pointers,
-    )
-    return LeakRunResult(
-        diagnostics=kept, leaked=[site for _, site in leaked_pairs],
-        stats=stats, selection=selection, demanded=outcome.demanded,
-        rounds=outcome.rounds, engine=outcome.stats)
+def _exit_loc(program: Program) -> Loc:
+    return Loc(program.entry, program.cfg_of(program.entry).exit)
 
 
 @register_checker
 class LeakChecker(Checker):
-    """Registry adapter so ``repro check`` and the daemon's
-    ``diagnostics`` method include leak findings."""
+    """Allocation sites no live reference reaches at program exit.  The
+    value handed to :meth:`report` is the leaked sites in allocation
+    order."""
 
     name = CHECKER_NAME
     rule_id = RULE_ID
@@ -198,5 +112,55 @@ class LeakChecker(Checker):
     def interesting(self, program: Program) -> Set[Var]:
         return allocation_pointers(program)
 
-    def check(self, ctx: CheckerContext) -> List[Diagnostic]:
-        return run_leaks(ctx.program, ctx=ctx).diagnostics
+    def client(self, ctx: CheckerContext) -> Client:
+        program = ctx.program
+        exit_loc = _exit_loc(program)
+        sites = allocation_sites(program)
+        roots: Set[MemObject] = set(program.globals) \
+            | program.functions[program.entry].variables()
+
+        def leaked_sites(view: DemandView):
+            if view.fsci is None:
+                return [], ()
+            cells = view.fsci.cells_after(exit_loc)
+            reachable = _exit_reachable(cells, roots)
+            facts = ctx.free_facts(view.fsci)
+            leaked: List[Tuple[Loc, AllocSite]] = []
+            for loc, site, ptr in sites:
+                if site in reachable:
+                    continue
+                if not view.fsci.reached_before(loc):
+                    continue  # the allocation itself never executes
+                if facts.freed_before(exit_loc, site):
+                    continue  # freed on some path: not provably leaked
+                leaked.append((loc, site))
+            leaked.sort(key=lambda pair: (pair[0].function, pair[0].index))
+            return [site for _, site in leaked], ()
+        return leaked_sites
+
+    def report(self, ctx: CheckerContext, value: List[AllocSite]
+               ) -> List[Diagnostic]:
+        allocated_at: Dict[AllocSite, Loc] = {}
+        for loc, site, _ in allocation_sites(ctx.program):
+            allocated_at.setdefault(site, loc)
+        exit_loc = _exit_loc(ctx.program)
+        return [_leak_diagnostic(ctx, allocated_at[site], site, exit_loc)
+                for site in value]
+
+
+def run_leaks(program: Program,
+              result: Optional[BootstrapResult] = None,
+              ctx: Optional[CheckerContext] = None,
+              max_rounds: int = 10,
+              budget: Optional[int] = None,
+              whole_program: bool = False) -> CheckerRun:
+    """Demand-driven memory-leak analysis; ``run.value`` lists the
+    leaked sites.
+
+    ``whole_program=True`` seeds the engine with every pointer in the
+    program (the bench baseline): same client, no cluster savings.
+    """
+    return run_checker(checker_context(program, result, ctx),
+                       LeakChecker(), max_rounds, budget,
+                       seeds=set(program.pointers) if whole_program
+                       else None)

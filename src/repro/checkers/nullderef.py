@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import List, Set, Tuple
 
+from ..analysis.fsci import FSCIResult
 from ..core.report import Diagnostic, TraceStep
 from ..ir import NullAssign, Program, Var
 from .base import (
@@ -47,10 +48,8 @@ class NullDerefChecker(Checker):
                     loc, f"{display_name(ptr)} set to NULL here"))
         return tuple(steps)
 
-    def check(self, ctx: CheckerContext) -> List[Diagnostic]:
-        fsci, _selection = ctx.demand_fsci(self.interesting(ctx.program))
-        if fsci is None:
-            return []
+    def report(self, ctx: CheckerContext, fsci: FSCIResult
+               ) -> List[Diagnostic]:
         free = ctx.free_facts(fsci)
         out: List[Diagnostic] = []
         for loc, ptr in dereferences(ctx.program):

@@ -1,10 +1,12 @@
 """The taint checker: demand-driven driver around the taint engine.
 
-:func:`run_taint` runs the paper's demand loop on the shared
-:class:`~repro.analysis.demand_engine.DemandEngine`.  The engine resolves
-indirect loads and stores through a points-to resolver backed by a
-*sliced* FSCI covering only the clusters that contain pointers taint
-actually moves through.  Clusters are alias-closed (every pointer that
+:class:`TaintChecker` runs the paper's demand loop on the shared
+:class:`~repro.analysis.demand_engine.DemandEngine`, through
+:func:`~repro.checkers.base.run_checker` like every checker
+(:func:`run_taint` is the one-call form).  The engine resolves indirect
+loads and stores through a points-to resolver backed by a *sliced*
+FSCI covering only the clusters that contain pointers taint actually
+moves through.  Clusters are alias-closed (every pointer that
 can reach a tainted object shares a cluster with the pointer that
 tainted it), so the loop converges on exactly the alias facts the client
 needs:
@@ -22,30 +24,26 @@ SARIF ``codeFlows``) works unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import FrozenSet, List, Optional, Set
+from typing import List, Optional, Set
 
-from ..analysis.demand_engine import DemandView, EngineStats, make_resolver
+from ..analysis.demand_engine import Client, DemandView, make_resolver
 from ..analysis.taint import (
     TaintEngine,
     TaintFlow,
+    TaintReport,
     TaintSpec,
     source_argument_pointers,
 )
-from ..core.bootstrap import BootstrapAnalyzer, BootstrapResult
-from ..core.queries import DemandSelection
-from ..core.report import (
-    Diagnostic,
-    TraceStep,
-    dedup_diagnostics,
-    suppress_diagnostics,
-)
+from ..core.bootstrap import BootstrapResult
+from ..core.report import Diagnostic, TraceStep
 from ..ir import Program, Var
 from .base import (
     Checker,
     CheckerContext,
-    CheckerStats,
+    CheckerRun,
+    checker_context,
     register_checker,
+    run_checker,
 )
 
 RULE_ID = "taint-flow"
@@ -54,26 +52,6 @@ CHECKER_NAME = "taint"
 #: Kept as an alias: bench/taint.py builds its whole-program baseline on
 #: the exact resolver the demand loop uses.
 _make_resolver = make_resolver
-
-
-@dataclass
-class TaintRunResult:
-    """Everything one :func:`run_taint` invocation produced."""
-
-    diagnostics: List[Diagnostic]
-    flows: List[TaintFlow]
-    stats: CheckerStats
-    selection: DemandSelection
-    demanded: FrozenSet[Var]
-    rounds: int
-    engine: Optional[EngineStats] = None
-
-    @property
-    def counts(self):
-        out = {}
-        for d in self.diagnostics:
-            out[d.severity] = out.get(d.severity, 0) + 1
-        return out
 
 
 def _flow_diagnostic(ctx: CheckerContext, flow: TaintFlow) -> Diagnostic:
@@ -92,13 +70,43 @@ def _flow_diagnostic(ctx: CheckerContext, flow: TaintFlow) -> Diagnostic:
         trace=trace)
 
 
+@register_checker
+class TaintChecker(Checker):
+    """Tainted data reaching a sensitive sink under ``spec`` (default:
+    the built-in rules).  Each round propagates taint with a resolver
+    scoped to the selected clusters and demands the pointers it could
+    not resolve."""
+
+    name = CHECKER_NAME
+    rule_id = RULE_ID
+    description = "tainted data reaching a sensitive sink"
+
+    def __init__(self, spec: Optional[TaintSpec] = None) -> None:
+        self.spec = spec if spec is not None else TaintSpec.default()
+
+    def interesting(self, program: Program) -> Set[Var]:
+        return source_argument_pointers(program, self.spec)
+
+    def client(self, ctx: CheckerContext) -> Client:
+        def propagate(view: DemandView):
+            report = TaintEngine(ctx.program, self.spec, view.resolver,
+                                 callgraph=ctx.result.callgraph).run()
+            return report, report.demanded
+        return propagate
+
+    def report(self, ctx: CheckerContext, value: TaintReport
+               ) -> List[Diagnostic]:
+        return [_flow_diagnostic(ctx, flow) for flow in value.flows]
+
+
 def run_taint(program: Program,
               spec: Optional[TaintSpec] = None,
               result: Optional[BootstrapResult] = None,
               ctx: Optional[CheckerContext] = None,
               max_rounds: int = 10,
-              budget: Optional[int] = None) -> TaintRunResult:
-    """Demand-driven interprocedural taint analysis.
+              budget: Optional[int] = None) -> CheckerRun:
+    """Demand-driven interprocedural taint analysis; ``run.value`` is
+    the last round's :class:`~repro.analysis.taint.TaintReport`.
 
     ``max_rounds`` bounds the demand loop; the demanded-pointer set grows
     monotonically, so the loop normally exits as soon as one engine run
@@ -106,58 +114,5 @@ def run_taint(program: Program,
     cluster slices the query may analyze (``AnalysisBudgetExceeded``
     beyond it).
     """
-    if spec is None:
-        spec = TaintSpec.default()
-    if ctx is None:
-        if result is None:
-            result = BootstrapAnalyzer(program).run()
-        ctx = CheckerContext(program, result)
-
-    def client(view: DemandView):
-        engine = TaintEngine(program, spec, view.resolver,
-                             callgraph=ctx.result.callgraph)
-        report = engine.run()
-        return report, report.demanded
-
-    outcome = ctx.engine.run(
-        source_argument_pointers(program, spec), client,
-        max_rounds=max_rounds, budget=budget)
-    report = outcome.value
-    selection = outcome.selection
-    raw = [_flow_diagnostic(ctx, flow) for flow in report.flows]
-    level = ctx.result.degraded_precision_of(selection.selected)
-    if level is not None:
-        # Sound but coarse: a supporting cluster fell down the cascade,
-        # so stamp the achieved precision on every flow it backs.
-        raw = [replace(d, precision=level) for d in raw]
-    deduped = dedup_diagnostics(raw)
-    kept, dropped = suppress_diagnostics(deduped, program)
-    stats = CheckerStats(
-        checker=CHECKER_NAME,
-        findings=len(kept),
-        suppressed=dropped,
-        clusters_selected=len(selection.selected),
-        clusters_total=selection.total_clusters,
-        pointers_selected=selection.selected_pointers,
-        pointers_total=selection.total_pointers,
-    )
-    return TaintRunResult(
-        diagnostics=kept, flows=report.flows, stats=stats,
-        selection=selection, demanded=outcome.demanded,
-        rounds=outcome.rounds, engine=outcome.stats)
-
-
-@register_checker
-class TaintChecker(Checker):
-    """Registry adapter so ``repro check`` and the daemon's
-    ``diagnostics`` method include taint flows (with the default spec)."""
-
-    name = CHECKER_NAME
-    rule_id = RULE_ID
-    description = "tainted data reaching a sensitive sink"
-
-    def interesting(self, program: Program) -> Set[Var]:
-        return source_argument_pointers(program, TaintSpec.default())
-
-    def check(self, ctx: CheckerContext) -> List[Diagnostic]:
-        return run_taint(ctx.program, ctx=ctx).diagnostics
+    return run_checker(checker_context(program, result, ctx),
+                       TaintChecker(spec), max_rounds, budget)

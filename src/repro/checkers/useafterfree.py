@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import List, Set
 
+from ..analysis.fsci import FSCIResult
 from ..core.report import Diagnostic
 from ..ir import AddrOf, AllocSite, Loc, Program, Var, retval_var
 from .base import (
@@ -60,10 +61,8 @@ class UseAfterFreeChecker(Checker):
                    if retval_var(f) in pointers}
         return wanted
 
-    def check(self, ctx: CheckerContext) -> List[Diagnostic]:
-        fsci, _selection = ctx.demand_fsci(self.interesting(ctx.program))
-        if fsci is None:
-            return []
+    def report(self, ctx: CheckerContext, fsci: FSCIResult
+               ) -> List[Diagnostic]:
         free = ctx.free_facts(fsci)
         out: List[Diagnostic] = []
         out.extend(self._check_dereferences(ctx, fsci, free))

@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from typing import List, Optional, Sequence
 
 from .analysis import Andersen, Steensgaard
@@ -262,11 +263,51 @@ def cmd_races(args: argparse.Namespace) -> int:
     return 1 if _severity_fails(diags, fail_on) else 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def _emit_findings(args: argparse.Namespace, diags, noun: str,
+                   details: Sequence[str]) -> int:
+    """Emit one findings verb's diagnostics: SARIF to ``--sarif``, JSON
+    with ``--json``, else text with a ``FILE: N <noun>`` summary and the
+    verb's ``details`` lines.  Returns the ``--fail-on`` exit status."""
     import json
 
-    from .checkers import CHECKER_REGISTRY, run_checkers
     from .core import diagnostics_to_dict, render_diagnostics_text
+    if args.sarif:
+        _write_sarif(args.sarif, diags)
+    if args.json:
+        print(json.dumps(diagnostics_to_dict(diags), indent=2,
+                         sort_keys=True))
+    else:
+        if diags:
+            print(render_diagnostics_text(diags))
+        counts = Counter(d.severity for d in diags)
+        summary = ", ".join(f"{counts[s]} {s}(s)" for s in
+                            ("error", "warning", "note") if s in counts)
+        print(f"{args.file}: {len(diags)} {noun}"
+              + (f" ({summary})" if summary else ""))
+        for line in details:
+            print(line)
+        if args.sarif:
+            print(f"SARIF written to {args.sarif}")
+    fail_on = args.fail_on or ("note" if args.fail_on_finding else None)
+    return 1 if _severity_fails(diags, fail_on) else 0
+
+
+def _analyzed(st) -> str:
+    """How much of the program a checker's demand loop analyzed."""
+    return (f"analyzed {st.clusters_selected}/{st.clusters_total} "
+            f"clusters ({st.clusters_skipped} skipped), "
+            f"{st.pointers_selected}/{st.pointers_total} pointers")
+
+
+def _demand_loop(run) -> str:
+    """The details line of one demand-driven checker run."""
+    return (f"  demand loop: {run.rounds} round(s), "
+            f"{len(run.demanded)} pointer(s) demanded; "
+            f"{_analyzed(run.stats)}; {run.stats.suppressed} suppressed")
+
+
+def cmd_check(args: argparse.Namespace) -> int:
+    from .checkers import CHECKER_REGISTRY, run_checkers
     names = list(dict.fromkeys(args.checkers)) if args.checkers else None
     if names:
         unknown = [n for n in names if n not in CHECKER_REGISTRY]
@@ -276,38 +317,14 @@ def cmd_check(args: argparse.Namespace) -> int:
                 f"(have: {', '.join(sorted(CHECKER_REGISTRY))})")
     program = _load(args.file, args.entry)
     report = run_checkers(program, names=names)
-    diags = report.diagnostics
-    if args.sarif:
-        _write_sarif(args.sarif, diags)
-    if args.json:
-        print(json.dumps(diagnostics_to_dict(diags), indent=2,
-                         sort_keys=True))
-    else:
-        if diags:
-            print(render_diagnostics_text(diags))
-        counts = report.counts
-        summary = ", ".join(f"{counts[s]} {s}(s)" for s in
-                            ("error", "warning", "note") if s in counts)
-        print(f"{args.file}: {len(diags)} finding(s)"
-              + (f" ({summary})" if summary else ""))
-        for st in report.stats:
-            print(f"  {st.checker}: {st.findings} finding(s), "
-                  f"{st.suppressed} suppressed; analyzed "
-                  f"{st.clusters_selected}/{st.clusters_total} clusters "
-                  f"({st.clusters_skipped} skipped), "
-                  f"{st.pointers_selected}/{st.pointers_total} pointers")
-        if args.sarif:
-            print(f"SARIF written to {args.sarif}")
-    fail_on = args.fail_on or ("note" if args.fail_on_finding else None)
-    return 1 if _severity_fails(diags, fail_on) else 0
+    return _emit_findings(args, report.diagnostics, "finding(s)", [
+        f"  {st.checker}: {st.findings} finding(s), {st.suppressed} "
+        f"suppressed; {_analyzed(st)}" for st in report.stats])
 
 
 def cmd_taint(args: argparse.Namespace) -> int:
-    import json
-
     from .analysis.taint import TaintSpec
     from .checkers import run_taint
-    from .core import diagnostics_to_dict, render_diagnostics_text
     spec = None
     if args.taint_spec:
         try:
@@ -321,72 +338,20 @@ def cmd_taint(args: argparse.Namespace) -> int:
                 f"repro taint: bad spec {args.taint_spec}: {exc}")
     program = _load(args.file, args.entry)
     run = run_taint(program, spec=spec)
-    diags = run.diagnostics
-    if args.sarif:
-        _write_sarif(args.sarif, diags)
-    if args.json:
-        print(json.dumps(diagnostics_to_dict(diags), indent=2,
-                         sort_keys=True))
-    else:
-        if diags:
-            print(render_diagnostics_text(diags))
-        counts = run.counts
-        summary = ", ".join(f"{counts[s]} {s}(s)" for s in
-                            ("error", "warning", "note") if s in counts)
-        st = run.stats
-        print(f"{args.file}: {len(diags)} taint flow(s)"
-              + (f" ({summary})" if summary else ""))
-        print(f"  demand loop: {run.rounds} round(s), "
-              f"{len(run.demanded)} pointer(s) demanded; analyzed "
-              f"{st.clusters_selected}/{st.clusters_total} clusters "
-              f"({st.clusters_skipped} skipped), "
-              f"{st.pointers_selected}/{st.pointers_total} pointers; "
-              f"{st.suppressed} suppressed")
-        if args.sarif:
-            print(f"SARIF written to {args.sarif}")
-    fail_on = args.fail_on or ("note" if args.fail_on_finding else None)
-    return 1 if _severity_fails(diags, fail_on) else 0
+    return _emit_findings(args, run.diagnostics, "taint flow(s)",
+                          [_demand_loop(run)])
 
 
 def cmd_leaks(args: argparse.Namespace) -> int:
-    import json
-
     from .checkers import run_leaks
-    from .core import diagnostics_to_dict, render_diagnostics_text
     program = _load(args.file, args.entry)
     run = run_leaks(program, budget=args.budget)
-    diags = run.diagnostics
-    if args.sarif:
-        _write_sarif(args.sarif, diags)
-    if args.json:
-        print(json.dumps(diagnostics_to_dict(diags), indent=2,
-                         sort_keys=True))
-    else:
-        if diags:
-            print(render_diagnostics_text(diags))
-        counts = run.counts
-        summary = ", ".join(f"{counts[s]} {s}(s)" for s in
-                            ("error", "warning", "note") if s in counts)
-        st = run.stats
-        print(f"{args.file}: {len(diags)} leaked allocation(s)"
-              + (f" ({summary})" if summary else ""))
-        print(f"  demand loop: {run.rounds} round(s), "
-              f"{len(run.demanded)} pointer(s) demanded; analyzed "
-              f"{st.clusters_selected}/{st.clusters_total} clusters "
-              f"({st.clusters_skipped} skipped), "
-              f"{st.pointers_selected}/{st.pointers_total} pointers; "
-              f"{st.suppressed} suppressed")
-        if args.sarif:
-            print(f"SARIF written to {args.sarif}")
-    fail_on = args.fail_on or ("note" if args.fail_on_finding else None)
-    return 1 if _severity_fails(diags, fail_on) else 0
+    return _emit_findings(args, run.diagnostics, "leaked allocation(s)",
+                          [_demand_loop(run)])
 
 
 def cmd_deadlocks(args: argparse.Namespace) -> int:
-    import json
-
     from .checkers import run_deadlocks
-    from .core import diagnostics_to_dict, render_diagnostics_text
     program = _load(args.file, args.entry)
     threads = [t for t in (args.threads or "").split(",") if t] or None
     if threads:
@@ -398,33 +363,10 @@ def cmd_deadlocks(args: argparse.Namespace) -> int:
                 f"{', '.join(unknown)}")
     run = run_deadlocks(program, thread_entries=threads,
                         budget=args.budget)
-    diags = run.diagnostics
-    if args.sarif:
-        _write_sarif(args.sarif, diags)
-    if args.json:
-        print(json.dumps(diagnostics_to_dict(diags), indent=2,
-                         sort_keys=True))
-    else:
-        if diags:
-            print(render_diagnostics_text(diags))
-        counts = run.counts
-        summary = ", ".join(f"{counts[s]} {s}(s)" for s in
-                            ("error", "warning", "note") if s in counts)
-        st = run.stats
-        entries = ", ".join(run.thread_entries) or "none found"
-        print(f"{args.file}: {len(diags)} lock-order cycle(s)"
-              + (f" ({summary})" if summary else ""))
-        print(f"  thread entries: {entries}")
-        print(f"  demand loop: {run.rounds} round(s), "
-              f"{len(run.demanded)} pointer(s) demanded; analyzed "
-              f"{st.clusters_selected}/{st.clusters_total} clusters "
-              f"({st.clusters_skipped} skipped), "
-              f"{st.pointers_selected}/{st.pointers_total} pointers; "
-              f"{st.suppressed} suppressed")
-        if args.sarif:
-            print(f"SARIF written to {args.sarif}")
-    fail_on = args.fail_on or ("note" if args.fail_on_finding else None)
-    return 1 if _severity_fails(diags, fail_on) else 0
+    entries = ", ".join(run.value.thread_entries) or "none found"
+    return _emit_findings(args, run.diagnostics, "lock-order cycle(s)",
+                          [f"  thread entries: {entries}",
+                           _demand_loop(run)])
 
 
 def cmd_demand(args: argparse.Namespace) -> int:
@@ -699,18 +641,10 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     return figure1_main(argv)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Bootstrapped flow/context-sensitive pointer alias "
-                    "analysis (Kahlon, PLDI 2008)")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {_package_version()}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="run the full cascade on a file")
-    p.add_argument("file")
-    p.add_argument("--entry", default="main")
+def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
+    """The cascade and execution knobs shared by ``analyze``, ``serve``
+    and ``fleet serve`` (one run, one daemon, or every spawned
+    worker)."""
     p.add_argument("--threshold", type=int, default=60,
                    help="Andersen threshold (paper: 60)")
     p.add_argument("--oneflow", action="store_true",
@@ -729,12 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "Andersen stage (cheap context sensitivity "
                         "for return-value flow)")
     p.add_argument("--parts", type=int, default=5)
-    p.add_argument("--aliases", nargs=2, metavar=("P", "Q"),
-                   help="query may-alias of two pointers")
-    p.add_argument("--points-to", metavar="P",
-                   help="query the points-to set of a pointer")
-    p.add_argument("--summaries", action="store_true",
-                   help="precompute summaries for every cluster")
     p.add_argument("--backend",
                    choices=["simulate", "processes"],
                    default="simulate",
@@ -749,10 +677,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "paper's greedy sweep)")
     p.add_argument("--cache", metavar="DIR",
                    help="on-disk summary cache; unchanged clusters are "
-                        "skipped on repeat runs")
+                        "skipped on repeat runs and daemon restarts "
+                        "(fleet workers share it)")
     p.add_argument("--fscs-budget", type=int, default=None, metavar="N",
-                   help="per-cluster FSCS step budget; exceeding it "
-                        f"exits with code {EXIT_BUDGET}")
+                   help="per-cluster FSCS step budget; exceeding it is "
+                        f"a budget error (exit code {EXIT_BUDGET}, or "
+                        "BUDGET_EXCEEDED from the daemon)")
     p.add_argument("--cluster-timeout", type=float, default=None,
                    metavar="SECONDS",
                    help="wall-clock deadline per cluster analysis; "
@@ -761,9 +691,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attempts per failed cluster beyond the first "
                         "(default: 1)")
     p.add_argument("--degrade", action="store_true",
-                   help="convert cluster failures into sound coarser "
-                        "results (FSCI -> Andersen -> Steensgaard) "
-                        "instead of failing the run")
+                   help="turn cluster failures into sound coarser "
+                        "results (FSCI -> Andersen -> Steensgaard), "
+                        "marked with degraded-precision warnings, "
+                        "instead of failing")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Bootstrapped flow/context-sensitive pointer alias "
+                    "analysis (Kahlon, PLDI 2008)")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {_package_version()}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("analyze", help="run the full cascade on a file")
+    p.add_argument("file")
+    p.add_argument("--entry", default="main")
+    _add_analysis_flags(p)
+    p.add_argument("--aliases", nargs=2, metavar=("P", "Q"),
+                   help="query may-alias of two pointers")
+    p.add_argument("--points-to", metavar="P",
+                   help="query the points-to set of a pointer")
+    p.add_argument("--summaries", action="store_true",
+                   help="precompute summaries for every cluster")
     p.add_argument("--inject-fault", action="append", metavar="SPEC",
                    help="inject a deterministic fault for resilience "
                         "testing: KIND[:SELECTOR[:DURATION]] with KIND "
@@ -804,85 +756,53 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit warnings as JSON diagnostics")
     p.set_defaults(func=cmd_races)
 
-    p = sub.add_parser(
-        "check", help="run the memory-safety checkers on a file")
-    p.add_argument("file")
-    p.add_argument("--entry", default="main")
+    def findings_parser(name: str, summary: str,
+                        func) -> argparse.ArgumentParser:
+        """A verb that reports findings on FILE, with the entry,
+        emitter and exit-status flags every such verb shares."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("file")
+        p.add_argument("--entry", default="main")
+        p.add_argument("--sarif", metavar="OUT",
+                       help="write findings as SARIF 2.1.0 to OUT")
+        p.add_argument("--json", action="store_true",
+                       help="print findings as JSON instead of text")
+        p.add_argument("--fail-on", choices=["note", "warning", "error"],
+                       default=None,
+                       help="exit 1 when any finding at or above this "
+                            "severity remains")
+        p.add_argument("--fail-on-finding", action="store_true",
+                       help="alias for --fail-on note")
+        return p
+
+    budget_help = ("cluster budget for the demand loop; exceeding it "
+                   f"exits with code {EXIT_BUDGET}")
+    p = findings_parser("check", "run the memory-safety checkers on a file",
+                        cmd_check)
     p.add_argument("--checkers", nargs="+", metavar="NAME",
                    help="subset of checkers to run (default: all)")
-    p.add_argument("--sarif", metavar="OUT",
-                   help="write findings as SARIF 2.1.0 to OUT")
-    p.add_argument("--json", action="store_true",
-                   help="print findings as JSON instead of text")
-    p.add_argument("--fail-on", choices=["note", "warning", "error"],
-                   default=None,
-                   help="exit 1 when any finding at or above this "
-                        "severity remains")
-    p.add_argument("--fail-on-finding", action="store_true",
-                   help="alias for --fail-on note")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser(
-        "taint", help="source-to-sink taint analysis on a file")
-    p.add_argument("file")
-    p.add_argument("--entry", default="main")
+    p = findings_parser("taint", "source-to-sink taint analysis on a file",
+                        cmd_taint)
     p.add_argument("--taint-spec", metavar="JSON",
                    help="sources/sinks/sanitizers spec file "
                         "(default: the built-in toy-C rules)")
-    p.add_argument("--sarif", metavar="OUT",
-                   help="write flows as SARIF 2.1.0 (with codeFlows) "
-                        "to OUT")
-    p.add_argument("--json", action="store_true",
-                   help="print flows as JSON instead of text")
-    p.add_argument("--fail-on", choices=["note", "warning", "error"],
-                   default=None,
-                   help="exit 1 when any flow at or above this "
-                        "severity remains")
-    p.add_argument("--fail-on-finding", action="store_true",
-                   help="alias for --fail-on note")
-    p.set_defaults(func=cmd_taint)
 
-    p = sub.add_parser(
-        "leaks", help="demand-driven memory-leak analysis on a file")
-    p.add_argument("file")
-    p.add_argument("--entry", default="main")
+    p = findings_parser("leaks",
+                        "demand-driven memory-leak analysis on a file",
+                        cmd_leaks)
     p.add_argument("--budget", type=int, default=None, metavar="N",
-                   help="cluster budget for the demand loop; exceeding "
-                        f"it exits with code {EXIT_BUDGET}")
-    p.add_argument("--sarif", metavar="OUT",
-                   help="write findings as SARIF 2.1.0 to OUT")
-    p.add_argument("--json", action="store_true",
-                   help="print findings as JSON instead of text")
-    p.add_argument("--fail-on", choices=["note", "warning", "error"],
-                   default=None,
-                   help="exit 1 when any finding at or above this "
-                        "severity remains")
-    p.add_argument("--fail-on-finding", action="store_true",
-                   help="alias for --fail-on note")
-    p.set_defaults(func=cmd_leaks)
+                   help=budget_help)
 
-    p = sub.add_parser(
-        "deadlocks",
-        help="lock-order-cycle (deadlock) analysis on a file")
-    p.add_argument("file")
-    p.add_argument("--entry", default="main")
+    p = findings_parser("deadlocks",
+                        "lock-order-cycle (deadlock) analysis on a file",
+                        cmd_deadlocks)
     p.add_argument("--threads",
                    help="comma-separated thread entries (default: "
                         "functions passed to spawn-like primitives)")
     p.add_argument("--budget", type=int, default=None, metavar="N",
-                   help="cluster budget for the demand loop; exceeding "
-                        f"it exits with code {EXIT_BUDGET}")
-    p.add_argument("--sarif", metavar="OUT",
-                   help="write findings as SARIF 2.1.0 to OUT")
-    p.add_argument("--json", action="store_true",
-                   help="print findings as JSON instead of text")
-    p.add_argument("--fail-on", choices=["note", "warning", "error"],
-                   default=None,
-                   help="exit 1 when any finding at or above this "
-                        "severity remains")
-    p.add_argument("--fail-on-finding", action="store_true",
-                   help="alias for --fail-on note")
-    p.set_defaults(func=cmd_deadlocks)
+                   help=budget_help)
 
     p = sub.add_parser(
         "demand", help="demand-driven Andersen points-to queries")
@@ -907,27 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--port", type=int, default=None,
                        help="serve on TCP PORT (0 picks a free port)")
         p.add_argument("--entry", default="main")
-        p.add_argument("--threshold", type=int, default=60)
-        p.add_argument("--oneflow", action="store_true")
-        p.add_argument("--clustering",
-                       choices=["steensgaard", "steensgaard_fs"],
-                       default="steensgaard")
-        p.add_argument("--sharing-bound", type=int, default=8,
-                       metavar="N")
-        p.add_argument("--cutshortcut", action="store_true")
-        p.add_argument("--parts", type=int, default=5)
-        p.add_argument("--backend",
-                       choices=["simulate", "processes"],
-                       default="simulate",
-                       help="how (re)analysis executes clusters "
-                            "(processes = the PR-2 worker pool)")
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--scheduler", choices=["greedy", "lpt"],
-                       default="greedy")
-        p.add_argument("--cache", metavar="DIR",
-                       help="on-disk summary cache backing the "
-                            "in-memory LRU; restarts warm-start from "
-                            "it (fleet workers share it)")
+        _add_analysis_flags(p)
         p.add_argument("--max-files", type=int, default=16,
                        help="resident per-file analysis states (LRU)")
         p.add_argument("--max-clusters", type=int, default=4096,
@@ -937,19 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reject request lines longer than N bytes "
                             "with a structured REQUEST_TOO_LARGE error "
                             "(default 4 MiB)")
-        p.add_argument("--fscs-budget", type=int, default=None,
-                       metavar="N")
-        p.add_argument("--cluster-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="wall-clock deadline per cluster "
-                            "(re)analysis")
-        p.add_argument("--retries", type=int, default=1, metavar="N",
-                       help="attempts per failed cluster beyond the "
-                            "first")
-        p.add_argument("--degrade", action="store_true",
-                       help="answer queries from sound coarser results "
-                            "when a cluster analysis fails; responses "
-                            "carry degraded-precision warnings")
         p.add_argument("--no-watch", action="store_true",
                        help="do not auto-reload files whose content "
                             "changed (clients must send invalidate)")

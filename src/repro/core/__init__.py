@@ -46,7 +46,6 @@ from .resilience import (
 )
 from .shipping import (
     analyze_payload,
-    analyze_payload_batch,
     build_payload,
     cluster_fingerprints,
     cluster_outcome,
@@ -88,7 +87,7 @@ __all__ = [
     "validate_outcome",
     "ParallelRunner", "Partitioning", "PartitionStats", "RelevantSlice",
     "SummaryCache",
-    "TraceStep", "analyze_payload", "analyze_payload_batch",
+    "TraceStep", "analyze_payload",
     "andersen_refine", "build_payload", "cluster_cost",
     "cluster_fingerprints", "cluster_outcome",
     "cluster_subprogram", "demand_alias_sets", "greedy_parts", "lpt_parts",

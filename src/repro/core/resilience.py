@@ -468,9 +468,9 @@ def run_resilient_single(payload: Dict[str, Any]
 
 def run_resilient_batch(payloads: Sequence[Dict[str, Any]]
                         ) -> List[Tuple[float, Dict[str, Any]]]:
-    """Worker entry for scheduled parts: like
-    :func:`~repro.core.shipping.analyze_payload_batch`, but one failing
-    cluster yields a marker instead of poisoning its whole part."""
+    """Worker entry for scheduled parts: each cluster CPU-timed, and one
+    failing cluster yields a marker instead of poisoning its whole
+    part."""
     out: List[Tuple[float, Dict[str, Any]]] = []
     for payload in payloads:
         out.append(run_resilient_single(payload))

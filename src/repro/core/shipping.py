@@ -22,18 +22,17 @@ the versioned IR serializer:
   do not change a cluster's sliced sub-program (touching other
   functions, or only line numbers) keep its fingerprint — and its cached
   summary — valid.
-* :func:`analyze_payload` / :func:`analyze_payload_batch` — the worker
-  entry points (module-level, hence picklable).  A worker-local FSCI
-  cache keyed by the parent slice's fingerprint reproduces the
-  sibling-cluster sharing :meth:`BootstrapResult.analysis_for` does in
-  process.
+* :func:`analyze_payload` — the worker entry point (module-level,
+  hence picklable; :mod:`~repro.core.resilience` wraps it per part).
+  A worker-local FSCI cache keyed by the parent slice's fingerprint
+  reproduces the sibling-cluster sharing
+  :meth:`BootstrapResult.analysis_for` does in process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.fscs import ClusterFSCS
@@ -339,17 +338,3 @@ def analyze_payload(payload: Dict[str, Any],
         deadline=deadline,
     )
     return cluster_outcome(analysis)
-
-
-def analyze_payload_batch(payloads: List[Dict[str, Any]]
-                          ) -> List[Tuple[float, Dict[str, Any]]]:
-    """Run one scheduled part's clusters in a worker, timing each; the
-    per-part sum is the 'machine time' the report aggregates.  CPU time,
-    not wall: concurrent workers sharing cores would otherwise bill each
-    other's time slices to their own clusters."""
-    out: List[Tuple[float, Dict[str, Any]]] = []
-    for payload in payloads:
-        t0 = time.process_time()
-        outcome = analyze_payload(payload)
-        out.append((time.process_time() - t0, outcome))
-    return out

@@ -20,7 +20,7 @@ import socket
 import socketserver
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..errors import AnalysisBudgetExceeded, ReproError
 from . import protocol
@@ -51,7 +51,6 @@ class AliasServer:
         self.host = host
         self.port = port
         self.files = FileStore(self.config)
-        self.started = time.time()
         self._monotonic0 = time.perf_counter()
         self._stats_lock = threading.Lock()
         self._tls = threading.local()
@@ -276,10 +275,6 @@ class AliasServer:
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
-    def preload(self, paths: List[str]) -> List[Dict[str, Any]]:
-        """Analyze the given files before accepting connections."""
-        return [self.files.get(path).summary() for path in paths]
-
     @property
     def address(self) -> str:
         if self.socket_path is not None:
@@ -439,20 +434,3 @@ class AliasServer:
                 # Not the main thread (in-process embedding); the caller
                 # controls shutdown instead.
                 return
-
-
-def probe(socket_path: Optional[str] = None, host: str = "127.0.0.1",
-          port: Optional[int] = None, timeout: float = 1.0) -> bool:
-    """Can a connection be opened to the given address right now?"""
-    try:
-        if socket_path is not None:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(timeout)
-            sock.connect(socket_path)
-        else:
-            sock = socket.create_connection((host, port or 0),
-                                            timeout=timeout)
-        sock.close()
-        return True
-    except OSError:
-        return False

@@ -33,7 +33,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core import (
     BootstrapAnalyzer,
@@ -222,6 +222,17 @@ def _source_fingerprint(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
+def _run_answer(run: Any) -> Dict[str, Any]:
+    """The fields every demand-verb answer (taint, leaks, deadlocks)
+    reads from its :class:`~repro.checkers.base.CheckerRun`."""
+    return {
+        "diagnostics": diagnostics_to_dict(run.diagnostics),
+        "stats": dataclasses.asdict(run.stats),
+        "rounds": run.rounds,
+        "demanded": sorted(str(v) for v in run.demanded),
+    }
+
+
 class FileState:
     """One served file: program, bootstrap result, cluster outcomes.
 
@@ -259,13 +270,11 @@ class FileState:
         self.deadline_clamped = False
         self.queries = 0
         self._must = None
-        self._diagnostics: Dict[Tuple[str, ...], Dict[str, Any]] = {}
-        self._taint: Dict[str, Dict[str, Any]] = {}
-        #: Demand-engine scenario cache (leaks, deadlocks) keyed by
-        #: (verb, *parameters); dropped wholesale on reload, like
-        #: ``_taint``, so invalidation stays fingerprint-grained at the
-        #: cluster level and query-grained here.
-        self._scenarios: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
+        #: Checker answers keyed by (verb, *parameters).  They live on
+        #: this load and are dropped with it, so invalidation stays
+        #: fingerprint-grained at the cluster level and query-grained
+        #: here.
+        self._answers: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -339,6 +348,26 @@ class FileState:
             verdict = self._must.must_alias(p, q, self.exit_loc)
         return {"p": str(p), "q": str(q), "must_alias": verdict}
 
+    def _answer(self, key: Tuple[Any, ...],
+                compute: Callable[[], Dict[str, Any]],
+                refresh: bool = True) -> Dict[str, Any]:
+        """The answer for ``key``, computed once per load under the file
+        lock; a degraded load adds its warnings.  ``refresh`` attaches
+        the load's accounting to the response (never to the cache)."""
+        with self._lock:
+            cached = self._answers.get(key)
+            if cached is None:
+                cached = compute()
+                warnings = self.degraded_warnings()
+                if warnings:
+                    cached["warnings"] = warnings
+                self._answers[key] = cached
+        if not refresh:
+            return cached
+        out = dict(cached)
+        out["refresh"] = self.refresh.to_dict()
+        return out
+
     def diagnostics(self, checkers: Optional[Sequence[str]] = None
                     ) -> Dict[str, Any]:
         from ..checkers import CHECKER_REGISTRY, run_checkers
@@ -349,22 +378,17 @@ class FileState:
                 INVALID_PARAMS,
                 f"unknown checker(s): {', '.join(unknown)} "
                 f"(have: {', '.join(sorted(CHECKER_REGISTRY))})")
-        with self._lock:
-            cached = self._diagnostics.get(names)
-            if cached is None:
-                report = run_checkers(self.program,
-                                      names=list(names) or None,
-                                      result=self.result)
-                cached = {
-                    "diagnostics": diagnostics_to_dict(report.diagnostics),
-                    "checkers": [dataclasses.asdict(st)
-                                 for st in report.stats],
-                }
-                warnings = self.degraded_warnings()
-                if warnings:
-                    cached["warnings"] = warnings
-                self._diagnostics[names] = cached
-        return cached
+
+        def compute() -> Dict[str, Any]:
+            report = run_checkers(self.program, names=list(names) or None,
+                                  result=self.result)
+            return {
+                "diagnostics": diagnostics_to_dict(report.diagnostics),
+                "checkers": [dataclasses.asdict(st)
+                             for st in report.stats],
+            }
+        return self._answer(("diagnostics", names), compute,
+                            refresh=False)
 
     def taint(self, spec: Optional[Dict[str, Any]] = None
               ) -> Dict[str, Any]:
@@ -388,57 +412,25 @@ class FileState:
                     AttributeError) as exc:
                 raise RequestError(INVALID_PARAMS,
                                    f"bad taint spec: {exc}")
-        key = taint_spec.digest()
-        with self._lock:
-            cached = self._taint.get(key)
-            if cached is None:
-                run = run_taint(self.program, spec=taint_spec,
-                                result=self.result)
-                cached = {
-                    "diagnostics": diagnostics_to_dict(run.diagnostics),
-                    "stats": dataclasses.asdict(run.stats),
-                    "rounds": run.rounds,
-                    "demanded": sorted(str(v) for v in run.demanded),
-                    "spec_digest": key,
-                }
-                warnings = self.degraded_warnings()
-                if warnings:
-                    cached["warnings"] = warnings
-                self._taint[key] = cached
-        out = dict(cached)
-        out["refresh"] = self.refresh.to_dict()
-        return out
+        digest = taint_spec.digest()
+
+        def compute() -> Dict[str, Any]:
+            run = run_taint(self.program, spec=taint_spec,
+                            result=self.result)
+            return dict(_run_answer(run), spec_digest=digest)
+        return self._answer(("taint", digest), compute)
 
     def leaks(self) -> Dict[str, Any]:
-        """Memory-leak findings for this file, cached per query shape.
-
-        Same caching discipline as :meth:`taint`: the result lives on
-        the :class:`FileState`, so a reload (watch or ``invalidate``)
-        rebuilds it against the fresh bootstrap result while unchanged
-        clusters come back from the fingerprint-keyed store.
-        """
+        """Memory-leak findings for this file (cached like
+        :meth:`taint`)."""
         from ..checkers import run_leaks
-        key: Tuple[Any, ...] = ("leaks",)
-        with self._lock:
-            cached = self._scenarios.get(key)
-            if cached is None:
-                run = run_leaks(self.program, result=self.result)
-                cached = {
-                    "diagnostics": diagnostics_to_dict(run.diagnostics),
-                    "leaked": sorted(str(s) for s in run.leaked),
-                    "stats": dataclasses.asdict(run.stats),
-                    "engine": (dataclasses.asdict(run.engine)
-                               if run.engine is not None else None),
-                    "rounds": run.rounds,
-                    "demanded": sorted(str(v) for v in run.demanded),
-                }
-                warnings = self.degraded_warnings()
-                if warnings:
-                    cached["warnings"] = warnings
-                self._scenarios[key] = cached
-        out = dict(cached)
-        out["refresh"] = self.refresh.to_dict()
-        return out
+
+        def compute() -> Dict[str, Any]:
+            run = run_leaks(self.program, result=self.result)
+            return dict(_run_answer(run),
+                        leaked=sorted(str(s) for s in run.value),
+                        engine=dataclasses.asdict(run.engine))
+        return self._answer(("leaks",), compute)
 
     def deadlocks(self, threads: Optional[Sequence[str]] = None
                   ) -> Dict[str, Any]:
@@ -452,29 +444,15 @@ class FileState:
                 f"unknown thread entr"
                 f"{'y' if len(unknown) == 1 else 'ies'}: "
                 f"{', '.join(unknown)}")
-        key: Tuple[Any, ...] = ("deadlocks", names)
-        with self._lock:
-            cached = self._scenarios.get(key)
-            if cached is None:
-                run = run_deadlocks(self.program, result=self.result,
-                                    thread_entries=list(names) or None)
-                cached = {
-                    "diagnostics": diagnostics_to_dict(run.diagnostics),
-                    "cycles": [c.key for c in run.cycles],
-                    "thread_entries": list(run.thread_entries),
-                    "stats": dataclasses.asdict(run.stats),
-                    "engine": (dataclasses.asdict(run.engine)
-                               if run.engine is not None else None),
-                    "rounds": run.rounds,
-                    "demanded": sorted(str(v) for v in run.demanded),
-                }
-                warnings = self.degraded_warnings()
-                if warnings:
-                    cached["warnings"] = warnings
-                self._scenarios[key] = cached
-        out = dict(cached)
-        out["refresh"] = self.refresh.to_dict()
-        return out
+
+        def compute() -> Dict[str, Any]:
+            run = run_deadlocks(self.program, result=self.result,
+                                thread_entries=list(names) or None)
+            return dict(_run_answer(run),
+                        cycles=[c.key for c in run.value.cycles],
+                        thread_entries=list(run.value.thread_entries),
+                        engine=dataclasses.asdict(run.engine))
+        return self._answer(("deadlocks", names), compute)
 
     # ------------------------------------------------------------------
     def source_changed(self) -> bool:

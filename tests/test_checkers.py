@@ -2,17 +2,29 @@
 
 Each checker gets true-positive and true-negative fixtures, plus the
 cross-cutting machinery: inline suppression, demand-driven cluster
-skipping, SARIF shape, and the ``repro check`` CLI.
+skipping, SARIF shape, the ``repro check`` CLI, and the accounting that
+``run_checkers`` shares with the dedicated demand-verb runners.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import parse_program
-from repro.checkers import CHECKER_REGISTRY, run_checkers
+from repro.checkers import (
+    CHECKER_REGISTRY,
+    run_checkers,
+    run_deadlocks,
+    run_leaks,
+    run_taint,
+)
 from repro.cli import main
-from repro.core import diagnostics_to_sarif
+from repro.core import BootstrapAnalyzer, diagnostics_to_sarif
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+#: ``examples/leak_demo.c`` with its one leaked allocation silenced.
+LEAK_IGNORED = "leak_demo.c+ignore"
 
 BUGGY = """
 int main() {
@@ -440,3 +452,36 @@ class TestCheckCLI:
                      "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data and all(d["rule"] == "repro-data-race" for d in data)
+
+
+def _example(case):
+    if case != LEAK_IGNORED:
+        return parse_program((EXAMPLES / case).read_text())
+    source = (EXAMPLES / "leak_demo.c").read_text()
+    marked = source.replace("p = malloc(4);",
+                            "p = malloc(4); // repro:ignore", 1)
+    assert marked != source
+    return parse_program(marked)
+
+
+class TestOneRunnerAccounting:
+    """``repro check`` and the dedicated verbs run a checker through the
+    same runner, so they report the same clusters, pointers, findings
+    and suppressions for it."""
+
+    RUNNERS = {"deadlock": run_deadlocks, "leak": run_leaks,
+               "taint": run_taint}
+
+    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    @pytest.mark.parametrize(
+        "case", sorted(p.name for p in EXAMPLES.glob("*.c"))
+        + [LEAK_IGNORED])
+    def test_check_stats_equal_dedicated_runner(self, case, name):
+        program = _example(case)
+        result = BootstrapAnalyzer(program).run()
+        (via_check,) = run_checkers(program, names=[name],
+                                    result=result).stats
+        dedicated = self.RUNNERS[name](program, result=result).stats
+        assert via_check == dedicated
+        if case == LEAK_IGNORED and name == "leak":
+            assert via_check.suppressed == 1

@@ -210,7 +210,7 @@ class TestEngineCore:
         rounds = 0
         while True:
             rounds += 1
-            fsci, selection = ctx.demand_fsci(frozenset(demanded))
+            fsci, selection = ctx.engine.sliced_fsci(frozenset(demanded))
             tracked = set(demanded)
             for cluster in selection.selected:
                 tracked |= cluster.slice.vp
@@ -227,7 +227,7 @@ class TestEngineCore:
         run = run_taint(program, result=result)
         assert run.rounds == rounds
         assert run.demanded == frozenset(demanded)
-        assert sorted(f.key() for f in run.flows) \
+        assert sorted(f.key() for f in run.value.flows) \
             == sorted(f.key() for f in report.flows)
         assert run.stats.clusters_selected == len(selection.selected)
 
@@ -270,7 +270,7 @@ class TestEngineCore:
         flows = {}
         for level in (1, 2, 3):
             run = run_taint(program, result=result, max_rounds=level)
-            flows[level] = {f.key() for f in run.flows}
+            flows[level] = {f.key() for f in run.value.flows}
         assert flows[1] <= flows[2] <= flows[3]
         assert flows[3]
 
@@ -302,7 +302,7 @@ class TestLeakChecker:
     def test_lost_allocation_flagged(self):
         program, result = bootstrap(LEAK_SOURCE)
         run = run_leaks(program, result=result)
-        (site,) = run.leaked
+        (site,) = run.value
         assert str(site).startswith("alloc@lost:")
         (d,) = run.diagnostics
         assert d.rule_id == "repro-memory-leak"
@@ -313,7 +313,7 @@ class TestLeakChecker:
     def test_freed_and_escaped_stay_silent(self):
         program, result = bootstrap(LEAK_SOURCE)
         run = run_leaks(program, result=result)
-        reported = {str(s) for s in run.leaked}
+        reported = {str(s) for s in run.value}
         assert not any("tidy" in s or "publish" in s for s in reported)
 
     def test_demand_selection_skips_unrelated_clusters(self):
@@ -368,7 +368,7 @@ class TestDeadlockChecker:
     def test_spawn_entries_detected(self):
         program, result = bootstrap(DEADLOCK_SOURCE)
         run = run_deadlocks(program, result=result)
-        assert run.thread_entries == ["t1", "t2"]
+        assert run.value.thread_entries == ["t1", "t2"]
 
     def test_consistent_order_is_silent(self):
         program, result = bootstrap(ORDERED_SOURCE)
@@ -410,7 +410,7 @@ class TestSynthGroundTruth:
         run = run_leaks(sp.program, result=result)
         expected = {f"alloc@{t['site']}" for t in sp.leak_truth
                     if t["leaked"]}
-        assert {str(s) for s in run.leaked} == expected
+        assert {str(s) for s in run.value} == expected
 
     def test_deadlock_cycles_match_truth_exactly(self, synth):
         sp, result = synth
@@ -419,12 +419,12 @@ class TestSynthGroundTruth:
         expected = {frozenset(t["locks"]) for t in sp.deadlock_truth
                     if t["cycle"]}
         assert {frozenset(str(n) for n in c.nodes)
-                for c in run.cycles} == expected
+                for c in run.value.cycles} == expected
 
     def test_spawned_entries_recovered_from_program(self, synth):
         sp, result = synth
         run = run_deadlocks(sp.program, result=result)
-        assert run.thread_entries == sorted(sp.thread_entries)
+        assert run.value.thread_entries == sorted(sp.thread_entries)
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +451,7 @@ class TestConcreteOracles:
                                        max_paths=500)
         assert not facts.truncated
         static = {str(s) for s in
-                  run_leaks(sp.program, result=result).leaked}
+                  run_leaks(sp.program, result=result).value}
         oracle = {str(s) for s in executor.must_leaked}
         assert oracle == static  # 0 false negatives, 0 spurious
 
@@ -463,7 +463,8 @@ class TestConcreteOracles:
                                         max_steps=1500, max_paths=500)
         run = run_deadlocks(sp.program, result=result,
                             thread_entries=list(sp.thread_entries))
-        static = {frozenset(str(n) for n in c.nodes) for c in run.cycles}
+        static = {frozenset(str(n) for n in c.nodes)
+                  for c in run.value.cycles}
         oracle = {frozenset(str(o) for o in c) for c in cycles}
         assert oracle == static
 
@@ -666,7 +667,7 @@ class TestDaemonMethods:
         run = run_leaks(program)
         assert result["diagnostics"] == diagnostics_to_dict(
             run.diagnostics)
-        assert result["leaked"] == sorted(str(s) for s in run.leaked)
+        assert result["leaked"] == sorted(str(s) for s in run.value)
         assert result["engine"]["rounds"] == run.engine.rounds
 
     def test_deadlocks_matches_one_shot(self, server, dl_file):
@@ -679,7 +680,7 @@ class TestDaemonMethods:
         run = run_deadlocks(program, thread_entries=["t1", "t2"])
         assert result["diagnostics"] == diagnostics_to_dict(
             run.diagnostics)
-        assert result["cycles"] == [c.key for c in run.cycles]
+        assert result["cycles"] == [c.key for c in run.value.cycles]
 
     def test_deadlocks_default_entries(self, server, dl_file):
         result = self._result(server, "deadlocks", file=dl_file)

@@ -788,24 +788,34 @@ class TestDisconnectReleasesAdmission:
         config = FleetConfig(workers=1, max_inflight=1)
         coordinator, thread = _start_coordinator(config)
         try:
-            # Connect, fire a query at a cold file, vanish immediately:
-            # the dispatch is cancelled and its admission token MUST
-            # come back (a leak would wedge this 1-slot coordinator).
-            for _ in range(3):
-                s = socket.create_connection(
-                    ("127.0.0.1", coordinator.port))
-                s.sendall(protocol.encode({
-                    "id": 1, "method": "points_to",
-                    "params": {"file": fleet_demo, "ptr": "p"}}))
-                s.close()
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if coordinator.admission.stats()["inflight"] == 0:
-                    break
-                time.sleep(0.05)
-            assert coordinator.admission.stats()["inflight"] == 0
             with ServerClient(port=coordinator.port,
                               timeout=120.0) as client:
+                # A first query builds the coordinator's routing state
+                # for the file, so each query below is admitted in the
+                # same step that counts it.
+                client.points_to(fleet_demo, "p")
+                # Connect, fire a query, vanish immediately: the
+                # dispatch is cancelled and its admission token MUST
+                # come back (a leak would wedge this 1-slot
+                # coordinator).  One at a time, since two overlapping
+                # queries would rightly be refused by the one slot:
+                # wait until the coordinator has counted the query and
+                # its token is back (fleet_status bypasses admission).
+                for sent in range(2, 5):
+                    s = socket.create_connection(
+                        ("127.0.0.1", coordinator.port))
+                    s.sendall(protocol.encode({
+                        "id": 1, "method": "points_to",
+                        "params": {"file": fleet_demo, "ptr": "p"}}))
+                    s.close()
+                    deadline = time.monotonic() + 30.0
+                    while time.monotonic() < deadline:
+                        seen = client.fleet_status()
+                        if seen["requests"].get("points_to", 0) >= sent \
+                                and seen["admission"]["inflight"] == 0:
+                            break
+                        time.sleep(0.05)
+                assert coordinator.admission.stats()["inflight"] == 0
                 assert client.points_to(fleet_demo, "p")["objects"]
             assert coordinator.admission.stats()["rejected"] == 0
         finally:

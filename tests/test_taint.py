@@ -180,7 +180,7 @@ class TestEngineBasics:
             f.store("p", "x")
             f.load("y", "p")
             f.extern_call("system", ["y"])
-        flow = run_taint(b.build()).flows[0]
+        flow = run_taint(b.build()).value.flows[0]
         notes = [note for _, note in flow.steps]
         assert any("stored" in n for n in notes)
         assert any("loaded" in n for n in notes)
@@ -206,7 +206,7 @@ class TestMemoryFlows:
 
     def test_demand_loop_resolves_memory_hop(self):
         run = run_taint(self._memory_program())
-        assert len(run.flows) == 1
+        assert len(run.value.flows) == 1
         # The sink-argument pointer seeds the demand; its alias-closed
         # cluster already covers p, so one round suffices.
         assert run.rounds >= 1
@@ -221,7 +221,7 @@ class TestMemoryFlows:
             f.store("p", "x")
             f.extern_call("system", ["p"])
         run = run_taint(b.build())
-        assert len(run.flows) == 1
+        assert len(run.value.flows) == 1
 
     def test_arg_taints_pointee(self):
         # recv(fd, buf_ptr) taints what the second argument points to.
@@ -232,8 +232,8 @@ class TestMemoryFlows:
             f.load("y", "p")
             f.extern_call("system", ["y"])
         run = run_taint(b.build())
-        assert len(run.flows) == 1
-        assert run.flows[0].source_fn == "recv"
+        assert len(run.value.flows) == 1
+        assert run.value.flows[0].source_fn == "recv"
 
 
 class TestDemandSelection:
@@ -266,7 +266,7 @@ class TestSynthGroundTruth:
         sanitized = {t["sink_function"] for t in sp.taint_truth
                      if t["sanitized"]}
         run = run_taint(sp.program)
-        found = {f.sink_loc.function for f in run.flows}
+        found = {f.sink_loc.function for f in run.value.flows}
         assert expected <= found
         assert not (found & sanitized)
 
@@ -279,7 +279,7 @@ class TestSynthGroundTruth:
         spec = TaintSpec.default()
         demand = run_taint(sp.program, spec=spec, result=result)
         whole, _ = _whole_program_run(sp.program, spec, result)
-        assert sorted(f.key() for f in demand.flows) \
+        assert sorted(f.key() for f in demand.value.flows) \
             == sorted(f.key() for f in whole.flows)
 
 
@@ -289,7 +289,7 @@ class TestSynthGroundTruth:
 class TestOracleSoundness:
     def assert_sound(self, program, **oracle_kw):
         _, realized = execute_taint(program, **oracle_kw)
-        reported = flow_keys(run_taint(program).flows)
+        reported = flow_keys(run_taint(program).value.flows)
         missed = realized - reported
         assert not missed, f"concrete flows missed: {missed}"
         return realized
