@@ -37,7 +37,7 @@ from .resilience import (
     is_degraded,
     validate_outcome,
 )
-from .shipping import build_payload, cluster_outcome, payload_fingerprint
+from .shipping import build_payload, cluster_fingerprints, cluster_outcome
 from .summary_cache import SummaryCache
 
 
@@ -180,8 +180,13 @@ class BootstrapResult:
         ``cache`` — a
         :class:`~repro.core.summary_cache.SummaryCache` or a directory
         path — skips every cluster whose sliced sub-program fingerprint
-        already has a stored outcome.  Results are per-cluster outcome
-        dicts (``{"stats", "points_to"}``) in input order.
+        already has a stored outcome.  A cache that also remembers
+        content keys (the daemon's
+        :class:`~repro.server.store.ClusterStore`) lets a reload take an
+        unchanged cluster's fingerprint from there instead of encoding
+        its payload; ``report.encoded`` counts the payloads built.
+        Results are per-cluster outcome dicts (``{"stats",
+        "points_to"}``) in input order.
 
         ``policy`` (a :class:`~repro.core.resilience.RunPolicy`) adds
         fault tolerance: per-cluster timeouts, bounded retries and —
@@ -198,20 +203,21 @@ class BootstrapResult:
         if backend == "processes" and jobs is not None:
             parts = jobs  # one worker per part
 
-        # Payloads/fingerprints are only built when something consumes
-        # them: the processes backend, the cache, or fault injection
-        # (fault selectors match on fingerprints).
-        payloads = fingerprints = None
+        # Fingerprints are only made when something consumes them: the
+        # cache, the processes backend, or fault injection (selectors
+        # match on fingerprints).  A cache that remembers content keys
+        # (ClusterStore.content_keys) lets unchanged clusters skip their
+        # payload; payloads are otherwise built only for the clusters
+        # that run and ship or can be fault-stamped.
+        payloads: Dict[int, Dict[str, Any]] = {}
+        fingerprints = None
         if backend == "processes" or cache_obj is not None or faults:
-            subcache: Dict[int, Dict] = {}
-            payloads = [build_payload(self.program, c, self.callgraph,
-                                      max_cond_atoms=self.config.max_cond_atoms,
-                                      budget=self.config.fscs_budget,
-                                      subprogram_cache=subcache)
-                        for c in targets]
-            fingerprints = [payload_fingerprint(p) for p in payloads]
-            if faults:
-                attach_faults(payloads, fingerprints, faults)
+            fingerprints = cluster_fingerprints(
+                self.program, targets, self.callgraph,
+                max_cond_atoms=self.config.max_cond_atoms,
+                budget=self.config.fscs_budget,
+                known=getattr(cache_obj, "content_keys", None),
+                payloads=payloads)
 
         cached: Dict[int, Dict] = {}
         if cache_obj is not None:
@@ -220,6 +226,19 @@ class BootstrapResult:
                 if outcome is not None:
                     cached[i] = outcome
         pending = [i for i in range(len(targets)) if i not in cached]
+        if backend == "processes" or faults:
+            # Pending clusters whose keys were known (their outcomes
+            # were evicted) still need a payload to ship or stamp.
+            subcache: Dict[int, Any] = {}
+            for i in pending:
+                if i not in payloads:
+                    payloads[i] = build_payload(
+                        self.program, targets[i], self.callgraph,
+                        max_cond_atoms=self.config.max_cond_atoms,
+                        budget=self.config.fscs_budget,
+                        subprogram_cache=subcache)
+            if faults:
+                attach_faults(payloads, fingerprints, faults)
 
         runner: ParallelRunner[Dict] = ParallelRunner(
             parts=parts, backend=backend, scheduler=scheduler, jobs=jobs)
@@ -251,6 +270,7 @@ class BootstrapResult:
             # Fast path: nothing came from the cache, indices align.
             report.cache_misses = len(pending) if cache_obj is not None else 0
             report.fingerprints = fingerprints
+            report.encoded = len(payloads)
             if cache_obj is not None:
                 for i in pending:
                     # Degraded outcomes are coarser than what a healthy
@@ -281,13 +301,14 @@ class BootstrapResult:
             results=results, backend=backend, scheduler=scheduler,
             schedule=schedule, wall_time=report.wall_time,
             cache_hits=len(cached), cache_misses=len(pending),
-            fingerprints=fingerprints, attempts=attempts)
+            fingerprints=fingerprints, attempts=attempts,
+            encoded=len(payloads))
 
     # ------------------------------------------------------------------
     # resilience plumbing
     # ------------------------------------------------------------------
     def _resilient_task(self, targets: Sequence[Cluster],
-                        payloads: Optional[List[Dict[str, Any]]],
+                        payloads: Dict[int, Dict[str, Any]],
                         policy: RunPolicy,
                         attempts_map: Dict[int, int]):
         """The in-process (simulate) analogue of the resilient
@@ -300,7 +321,7 @@ class BootstrapResult:
 
         def task(c: Cluster) -> Dict[str, Any]:
             i = index_of[id(c)]
-            payload = payloads[i] if payloads is not None else None
+            payload = payloads.get(i)
             names = [str(p) for p in c.pointer_members]
             error = "unknown failure"
             for attempt in range(1, policy.retries + 2):

@@ -46,7 +46,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 #: The supported fault kinds.
 FAULT_KINDS = ("crash", "hang", "corrupt", "flaky-once")
@@ -119,11 +119,11 @@ def parse_fault_arg(text: str) -> FaultSpec:
     return FaultSpec(kind=kind, match=match, duration=duration)
 
 
-def attach_faults(payloads: Sequence[Dict[str, Any]],
+def attach_faults(payloads: Mapping[int, Dict[str, Any]],
                   fingerprints: Sequence[str],
                   specs: Iterable[FaultSpec]) -> List[int]:
-    """Stamp each matching payload with its faults; returns the indices
-    of the payloads that were stamped.
+    """Stamp each matching payload (keyed by cluster index) with its
+    faults; returns the indices of the payloads that were stamped.
 
     Stamping happens *after* fingerprints are computed, and the
     fingerprint function ignores the ``"faults"`` key anyway, so the
@@ -131,7 +131,8 @@ def attach_faults(payloads: Sequence[Dict[str, Any]],
     """
     stamped: List[int] = []
     specs = list(specs)
-    for i, (payload, fp) in enumerate(zip(payloads, fingerprints)):
+    for i, payload in sorted(payloads.items()):
+        fp = fingerprints[i]
         matched = [s.to_dict() for s in specs if s.matches(fp, i)]
         if matched:
             payload["faults"] = matched

@@ -182,13 +182,17 @@ class ParallelReport:
     wall_time: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Payload fingerprints per cluster (input order), when the run built
-    #: payloads (processes backend or any cache) — the invalidation hook
-    #: the query daemon diffs across reloads.
+    #: Payload fingerprints per cluster (input order), when the run made
+    #: them (processes backend, any cache, or faults) — the invalidation
+    #: hook the query daemon diffs across reloads.
     fingerprints: Optional[List[str]] = None
     #: Analysis attempts per cluster index; only clusters the resilience
     #: layer touched more than once (or failed) appear with values > 1.
     attempts: Dict[int, int] = field(default_factory=dict)
+    #: Payloads built for this run (``build_payload`` calls): every
+    #: cluster's without a content-key map, only new or shipped ones
+    #: with one.
+    encoded: int = 0
 
     @property
     def max_part_time(self) -> float:

@@ -22,6 +22,13 @@ the versioned IR serializer:
   do not change a cluster's sliced sub-program (touching other
   functions, or only line numbers) keep its fingerprint — and its cached
   summary — valid.
+* :func:`cluster_content_keys` — a hash over exactly what a payload
+  encodes, read straight off the program and the cluster (one slicing
+  rule, :func:`_reduce`, serves it and :func:`cluster_subprogram`), so
+  it is equal exactly when the fingerprint is.
+  :func:`cluster_fingerprints`, the one place fingerprints are made,
+  remembers each key's fingerprint in a caller-owned map: a reload then
+  encodes only the clusters an edit changed.
 * :func:`analyze_payload` — the worker entry point (module-level,
   hence picklable; :mod:`~repro.core.resilience` wraps it per part).
   A worker-local FSCI cache keyed by the parent slice's fingerprint
@@ -33,19 +40,32 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..analysis.fscs import ClusterFSCS
 from ..ir import CallGraph, CFG, Loc, Program, Var
 from ..ir.program import Function
 from ..ir.serialize import (
+    INLINE,
     SymbolTable,
     cluster_from_wire,
     cluster_to_wire,
     decode_symbols,
+    function_to_wire,
     program_from_wire,
     program_to_wire,
     slice_to_wire,
+    symbols_to_wire,
 )
 from ..ir.statements import AddrOf, CallStmt, ReturnStmt, Skip, Statement
 from .clusters import Cluster
@@ -79,6 +99,69 @@ def _stmt_vars(stmt: Statement) -> Set[Var]:
     return out
 
 
+#: One kept function after slicing: its node statements, the variables
+#: the surviving statements mention, and the program functions it calls.
+_Body = Tuple[List[Statement], Set[Var], Set[str]]
+
+
+def _sliced_body(program: Program, name: str,
+                 relevant: AbstractSet[int]) -> _Body:
+    """The slicing rule, one kept function at a time: a pointer
+    assignment whose node index is not in ``relevant`` becomes
+    ``Skip("sliced")``; every other statement survives and its
+    variables count as used."""
+    stmts: List[Statement] = []
+    used: Set[Var] = set()
+    callees: Set[str] = set()
+    for idx, stmt in program.cfg_of(name).statements():
+        if stmt.is_pointer_assign and idx not in relevant:
+            stmt = _SLICED
+        else:
+            used |= _stmt_vars(stmt)
+        if isinstance(stmt, CallStmt):
+            callees.update(t for t in stmt.targets if t in program.functions)
+        stmts.append(stmt)
+    return stmts, used, callees
+
+
+def _reduce(program: Program, cluster: Cluster, callgraph: CallGraph,
+            bodies: Dict[Tuple[str, FrozenSet[int]], _Body]
+            ) -> Tuple[List[Tuple[str, FrozenSet[int], List[Statement]]],
+                       List[str], Set[Var]]:
+    """The shape of the cluster's ``Prog_P``: each kept function (sorted)
+    as ``(name, relevant node indices, sliced body)``, the stub names
+    (sorted) and the globals the sub-program keeps.  ``bodies``
+    memoizes :func:`_sliced_body` by ``(name, relevant indices)``."""
+    base = _base_slice(cluster)
+    relevant: Dict[str, Set[int]] = {}
+    for loc in base.statements:
+        relevant.setdefault(loc.function, set()).add(loc.index)
+    keep = callgraph.ancestors_of(relevant)
+    keep.add(program.entry)
+    used: Set[Var] = set(base.vp) | set(cluster.members)
+    kept = []
+    stubs: Set[str] = set()
+    for name in sorted(keep):
+        rel = frozenset(relevant.get(name, ()))
+        body = bodies.get((name, rel))
+        if body is None:
+            body = bodies[name, rel] = _sliced_body(program, name, rel)
+        stmts, fn_used, callees = body
+        used |= fn_used
+        stubs |= callees - keep
+        kept.append((name, rel, stmts))
+    return kept, sorted(stubs), program.globals & used
+
+
+def _stub(fn: Function) -> Function:
+    """An empty, transparent stand-in for a callee that is not kept."""
+    cfg = CFG(fn.name)
+    cfg.exit = cfg.add_node(ReturnStmt())
+    cfg.add_edge(cfg.entry, cfg.exit)
+    return Function(name=fn.name, params=list(fn.params), locals=set(),
+                    cfg=cfg)
+
+
 def cluster_subprogram(program: Program, cluster: Cluster,
                        callgraph: Optional[CallGraph] = None) -> Program:
     """The cluster's shippable reduced program ``Prog_P``.
@@ -101,31 +184,15 @@ def cluster_subprogram(program: Program, cluster: Cluster,
     every multi-target call site — dropping it loses points-to facts),
     and the supergraph keeps the call's flow-through path.
     """
-    cg = callgraph or CallGraph(program)
-    base = _base_slice(cluster)
-    keep = cg.ancestors_of(base.functions())
-    keep.add(program.entry)
-    relevant = base.statements
-    used: Set[Var] = set(base.vp) | set(cluster.members)
-
+    kept, stubs, globals_ = _reduce(program, cluster,
+                                    callgraph or CallGraph(program), {})
     functions: Dict[str, Function] = {}
-    stub_names: Set[str] = set()
-    for name in sorted(keep):
+    for name, _, stmts in kept:
         src = program.cfg_of(name)
         cfg = CFG(name)
-        for idx in src.nodes():
-            stmt = src.stmt(idx)
-            if stmt.is_pointer_assign and Loc(name, idx) not in relevant:
-                stmt = _SLICED
-            else:
-                used |= _stmt_vars(stmt)
-            if isinstance(stmt, CallStmt):
-                stub_names.update(t for t in stmt.targets
-                                  if t not in keep and t in program.functions)
-            if idx == 0:
-                cfg.set_stmt(0, stmt)
-            else:
-                cfg.add_node(stmt)
+        cfg.set_stmt(0, stmts[0])
+        for stmt in stmts[1:]:
+            cfg.add_node(stmt)
         for idx in src.nodes():
             for succ in src.successors(idx):
                 cfg.add_edge(idx, succ)
@@ -134,14 +201,8 @@ def cluster_subprogram(program: Program, cluster: Cluster,
         fn = program.functions[name]
         functions[name] = Function(name=name, params=list(fn.params),
                                    locals=set(fn.locals), cfg=cfg)
-    for name in sorted(stub_names):
-        cfg = CFG(name)
-        cfg.exit = cfg.add_node(ReturnStmt())
-        cfg.add_edge(cfg.entry, cfg.exit)
-        fn = program.functions[name]
-        functions[name] = Function(name=name, params=list(fn.params),
-                                   locals=set(), cfg=cfg)
-    globals_ = {g for g in program.globals if g in used}
+    for name in stubs:
+        functions[name] = _stub(program.functions[name])
     return Program(functions, entry=program.entry, globals_=globals_)
 
 
@@ -206,25 +267,105 @@ def _digest(data: Any) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def cluster_fingerprints(program: Program, clusters: Sequence[Cluster],
+def cluster_content_keys(program: Program, clusters: Sequence[Cluster],
                          callgraph: Optional[CallGraph] = None,
                          max_cond_atoms: int = 4,
                          budget: Optional[int] = None) -> List[str]:
-    """Payload fingerprints for a batch of clusters, input order.
+    """One content key per cluster, input order: a SHA-256 over exactly
+    what :func:`build_payload` encodes, read without building a payload.
 
-    Exactly the fingerprints ``analyze_all`` computes for the same
-    knobs (one shared ``subprogram_cache`` across the batch, so sibling
-    clusters serialize their sub-program once) — which makes them valid
-    shard keys: the fleet coordinator routes by them without paying for
-    any cluster's actual FSCS analysis, and the keys agree with the
-    summary-cache identity every worker caches under.
+    The key covers each kept function after slicing (params, locals,
+    entry/exit, statements, successors), the stubs' names and params,
+    the globals used, the cluster (members, slice, parent slice, origin,
+    ``parent_size``), the knobs and :data:`PAYLOAD_VERSION`, in the
+    payload's own order, and shares :func:`_reduce` and the wire
+    encoders with it.  Two clusters therefore share a content key
+    exactly when their payloads — and so their fingerprints — are
+    equal (``tests/test_shipping_keys.py``).  Function digests are
+    memoized for the batch by ``(function, relevant indices)``, so
+    sibling clusters and the functions many slices pass through are
+    hashed once.
     """
     cg = callgraph or CallGraph(program)
-    cache: Dict[Any, Any] = {}
-    return [payload_fingerprint(build_payload(
-        program, cluster, cg, max_cond_atoms=max_cond_atoms,
-        budget=budget, subprogram_cache=cache))
-        for cluster in clusters]
+    config = {"max_cond_atoms": max_cond_atoms, "budget": budget}
+    bodies: Dict[Tuple[str, FrozenSet[int]], _Body] = {}
+    # (name, relevant indices) -> digest; a stub's indices are None.
+    digests: Dict[Tuple[str, Optional[FrozenSet[int]]], str] = {}
+    bases: Dict[int, Tuple[str, Dict[str, Any]]] = {}
+    keys: List[str] = []
+    for cluster in clusters:
+        base = _base_slice(cluster)
+        entry = bases.get(id(base))
+        if entry is None:
+            kept, stubs, globals_ = _reduce(program, cluster, cg, bodies)
+            functions = []
+            for name, rel, stmts in kept:
+                digest = digests.get((name, rel))
+                if digest is None:
+                    digest = digests[name, rel] = _digest(function_to_wire(
+                        program.functions[name], INLINE, stmts))
+                functions.append((name, digest))
+            for name in stubs:
+                digest = digests.get((name, None))
+                if digest is None:
+                    digest = digests[name, None] = _digest(function_to_wire(
+                        _stub(program.functions[name]), INLINE))
+                functions.append((name, digest))
+            sub = _digest([program.entry, functions,
+                           symbols_to_wire(globals_, INLINE)])
+            entry = bases[id(base)] = (sub, slice_to_wire(base, INLINE))
+        sub, base_wire = entry
+        wire = cluster_to_wire(cluster, INLINE, parent_wire=base_wire)
+        keys.append(_digest([PAYLOAD_VERSION, config, sub, wire]))
+    return keys
+
+
+def cluster_fingerprints(program: Program, clusters: Sequence[Cluster],
+                         callgraph: Optional[CallGraph] = None,
+                         max_cond_atoms: int = 4,
+                         budget: Optional[int] = None,
+                         known: Optional[Any] = None,
+                         payloads: Optional[Dict[int, Dict[str, Any]]] = None,
+                         ) -> List[str]:
+    """Payload fingerprints for a batch of clusters, input order — the
+    one place fingerprints are made.
+
+    Without ``known`` every cluster's payload is built (one shared
+    ``subprogram_cache`` across the batch, so sibling clusters serialize
+    their sub-program once) and hashed.  ``known`` maps content keys
+    (:func:`cluster_content_keys`) to fingerprints — a ``dict``, or
+    anything with ``get`` and item assignment: a cluster whose key it
+    holds takes the remembered fingerprint and builds nothing; only the
+    others are encoded.  Every cluster's key is then recorded in it.
+    Payloads built along the way land in ``payloads`` (by input index)
+    so a caller that ships them does not encode them twice.
+
+    The fingerprints are byte-identical either way, which makes them
+    valid shard keys: the fleet coordinator routes by them without
+    paying for any cluster's actual FSCS analysis, and the keys agree
+    with the summary-cache identity every worker caches under.
+    """
+    cg = callgraph or CallGraph(program)
+    cache: Dict[int, Any] = {}
+    keys: Sequence[Optional[str]] = [None] * len(clusters)
+    if known is not None:
+        keys = cluster_content_keys(program, clusters, cg,
+                                    max_cond_atoms=max_cond_atoms,
+                                    budget=budget)
+    fingerprints: List[str] = []
+    for i, (cluster, key) in enumerate(zip(clusters, keys)):
+        fp = known.get(key) if known is not None else None
+        if fp is None:
+            payload = build_payload(program, cluster, cg,
+                                    max_cond_atoms=max_cond_atoms,
+                                    budget=budget, subprogram_cache=cache)
+            fp = payload_fingerprint(payload)
+            if payloads is not None:
+                payloads[i] = payload
+        if known is not None:
+            known[key] = fp
+        fingerprints.append(fp)
+    return fingerprints
 
 
 def payload_fingerprint(payload: Dict[str, Any]) -> str:

@@ -59,7 +59,7 @@ import hashlib
 import os
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import ChainMap, OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
@@ -225,13 +225,18 @@ class RoutingState:
 
     def __init__(self, path: str, stat: os.stat_result, program: Any,
                  fingerprints: List[str],
-                 pointer_key: Dict[str, str]) -> None:
+                 pointer_key: Dict[str, str],
+                 content_keys: Dict[str, str]) -> None:
         self.path = path
         self.mtime_ns = stat.st_mtime_ns
         self.size = stat.st_size
         self.program = program
         self.fingerprints = fingerprints
         self.pointer_key = pointer_key
+        #: Content key -> fingerprint for this file's clusters: the
+        #: ``known`` map the next build for this path starts from, so a
+        #: rebuild after an edit encodes only the clusters it changed.
+        self.content_keys = content_keys
         self.file_key = "file:" + hashlib.sha256(
             "\n".join(fingerprints).encode("utf-8")).hexdigest()
         #: key → home worker, filled in by :meth:`assign_homes` once
@@ -239,7 +244,13 @@ class RoutingState:
         self.homes: Dict[str, str] = {}
 
     @classmethod
-    def build(cls, path: str, config: ServerConfig) -> "RoutingState":
+    def build(cls, path: str, config: ServerConfig,
+              previous: Optional["RoutingState"] = None) -> "RoutingState":
+        """Parse and cluster ``path``.  ``previous`` is the state this
+        one replaces: clusters whose content keys it knows take their
+        fingerprints from it instead of encoding a payload.  The new
+        state keeps only its own clusters' keys, so the map stays
+        bounded by the file's cluster count."""
         from ..frontend import parse_program
         st = os.stat(path)
         with open(path, "r") as handle:
@@ -247,15 +258,18 @@ class RoutingState:
         program = parse_program(source, entry=config.entry, path=path)
         result = BootstrapAnalyzer(program,
                                    config.bootstrap_config()).run()
+        content_keys: Dict[str, str] = {}
         fps = cluster_fingerprints(
             program, result.clusters, result.callgraph,
             max_cond_atoms=config.max_cond_atoms,
-            budget=config.fscs_budget)
+            budget=config.fscs_budget,
+            known=ChainMap(content_keys, previous.content_keys
+                           if previous is not None else {}))
         pointer_key: Dict[str, str] = {}
         for cluster, fp in zip(result.clusters, fps):
             for var in cluster.members:
                 pointer_key.setdefault(str(var), fp)
-        return cls(path, st, program, fps, pointer_key)
+        return cls(path, st, program, fps, pointer_key, content_keys)
 
     def assign_homes(self, ring: HashRing, epsilon: float,
                      observed: Optional[Dict[str, int]] = None) -> None:
@@ -769,22 +783,25 @@ class FleetCoordinator:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    async def _routing_state(self, path: str) -> Optional[RoutingState]:
+    async def _routing_state(self, path: str, rebuild: bool = False
+                             ) -> Optional[RoutingState]:
         """The (possibly rebuilt) routing state for ``path``; ``None``
         when the file cannot be parsed — the request still routes (by a
         path-derived key) so the *worker* produces the same structured
-        error a single daemon would."""
+        error a single daemon would.  ``rebuild`` forces a rebuild even
+        when the file looks unchanged (``invalidate``)."""
         lock = self._routing_locks.setdefault(path, asyncio.Lock())
         async with lock:
-            rs = self._routing.get(path)
-            if rs is not None and not rs.stale():
+            previous = self._routing.get(path)
+            if previous is not None and not rebuild \
+                    and not previous.stale():
                 self._routing.move_to_end(path)
-                return rs
+                return previous
             loop = asyncio.get_event_loop()
             try:
                 rs = await loop.run_in_executor(
                     None, RoutingState.build, path,
-                    self.config.server)
+                    self.config.server, previous)
             except (ReproError, OSError, RequestError):
                 self._routing.pop(path, None)
                 return None
@@ -812,17 +829,16 @@ class FleetCoordinator:
             # own validation error is served consistently.
             return f"method:{method}", None
         path = os.path.abspath(file_param)
-        if method == "invalidate":
-            # Drop our map too — the file's cluster keys are about to
-            # change; rebuilt lazily on the next routed query.  The
-            # journal forgets the weights with the keys (they name
-            # fingerprints that no longer exist).
-            self._routing.pop(path, None)
+        rebuild = method == "invalidate"
+        if rebuild:
+            # Rebuild our map too — the file's cluster keys are about to
+            # change.  The journal forgets the weights with the keys
+            # (they name fingerprints that no longer exist).
             self._query_counts.pop(path, None)
             self._weight_dirty.pop(path, None)
             if self.journal is not None:
                 self.journal.forget_file(path)
-        rs = await self._routing_state(path)
+        rs = await self._routing_state(path, rebuild=rebuild)
         if rs is None:
             return "path:" + path, None
         pointer_param = _POINTER_PARAM.get(method)

@@ -24,7 +24,9 @@ Two encodings exist:
   dozens of times, so interning them once per payload is what slims the
   shipping cost.  All collection fields are emitted in a canonical
   sorted order, so equal values serialize to byte-identical JSON — the
-  summary cache hashes these payloads.
+  summary cache hashes these payloads.  The same encoders run over
+  :data:`INLINE` in place of a table to describe a payload's content
+  without interning it (the shipping layer's content keys).
 
 Both encodings share one statement codec, so they cannot drift apart.
 """
@@ -32,7 +34,7 @@ Both encodings share one statement codec, so they cannot drift apart.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from .cfg import CFG, Loc, Span
 from .program import Function, Program
@@ -309,6 +311,42 @@ class SymbolTable:
         return out
 
 
+class InlineSymbols:
+    """The symbol codec of :class:`SymbolTable` without the table: a
+    symbol encodes as the entry :attr:`SymbolTable.syms` would hold for
+    it, with its function named instead of indexed, and a function name
+    as itself.  Wire dicts built with it have the interned encoding's
+    structure, values and order, minus the indices, so they describe a
+    payload's content without the cost of building one (see
+    :func:`~repro.core.shipping.cluster_content_keys`)."""
+
+    __slots__ = ()
+
+    def ref(self, obj: MemObject) -> Any:
+        if isinstance(obj, AllocSite):
+            return obj.label
+        if obj.function is None:
+            return [obj.name]
+        return [obj.name, obj.function]
+
+    def fref(self, name: str) -> str:
+        return name
+
+
+#: The shared stateless instance.
+INLINE = InlineSymbols()
+
+#: What the wire encoders take as ``table``.
+SymbolCodec = Union[SymbolTable, InlineSymbols]
+
+
+def symbols_to_wire(objs: Iterable[MemObject],
+                    table: SymbolCodec) -> List[Any]:
+    """A symbol collection in canonical order, each symbol through
+    ``table`` (a :class:`SymbolTable` or :data:`INLINE`)."""
+    return [table.ref(o) for o in sorted(objs, key=_mem_key)]
+
+
 def decode_symbols(syms: List[Any], fnames: List[str]) -> List[MemObject]:
     """Materialize a shipped symbol table back into objects."""
     out: List[MemObject] = []
@@ -383,27 +421,38 @@ def _unpack_stmt(a: List[Any], fnames: List[str]) -> Dict[str, Any]:
     return {"k": kind, "note": a[1] if len(a) > 1 else _SLICED_NOTE}
 
 
+def function_to_wire(fn: Function, table: SymbolCodec,
+                     stmts: Optional[Sequence[Statement]] = None
+                     ) -> Dict[str, Any]:
+    """One function of :func:`program_to_wire`.  ``stmts`` stands in for
+    the CFG's node statements (a sliced body over the same CFG shape),
+    so a function can be encoded as it would ship without first being
+    rebuilt."""
+    ref = table.ref
+    cfg = fn.cfg
+    if stmts is None:
+        stmts = [cfg.stmt(i) for i in cfg.nodes()]
+    return {
+        "params": [ref(p) for p in fn.params],
+        "locals": symbols_to_wire(fn.locals, table),
+        "entry": cfg.entry,
+        "exit": cfg.exit,
+        "stmts": [_pack_stmt(_stmt_to(stmt, ref, ref), table.fref)
+                  for stmt in stmts],
+        "succs": [list(cfg.successors(i)) for i in cfg.nodes()],
+    }
+
+
 def program_to_wire(program: Program, table: SymbolTable) -> Dict[str, Any]:
     """Like :func:`program_to_dict` with every symbol replaced by its
     table index.  Structure (and therefore the decoder's traversal) is
     otherwise identical; collections keep the plain format's canonical
     symbol order."""
-    ref = table.ref
-    functions: Dict[str, Any] = {}
-    for name, fn in program.functions.items():
-        cfg = fn.cfg
-        functions[name] = {
-            "params": [ref(p) for p in fn.params],
-            "locals": [ref(v) for v in sorted(fn.locals, key=_mem_key)],
-            "entry": cfg.entry,
-            "exit": cfg.exit,
-            "stmts": [_pack_stmt(_stmt_to(cfg.stmt(i), ref, ref), table.fref)
-                      for i in cfg.nodes()],
-            "succs": [list(cfg.successors(i)) for i in cfg.nodes()],
-        }
+    functions = {name: function_to_wire(fn, table)
+                 for name, fn in program.functions.items()}
     return {
         "entry": program.entry,
-        "globals": [ref(g) for g in sorted(program.globals, key=_mem_key)],
+        "globals": symbols_to_wire(program.globals, table),
         "functions": functions,
     }
 
@@ -440,13 +489,13 @@ def program_from_wire(data: Dict[str, Any], objs: List[MemObject],
 
 
 def slice_to_wire(slice_: "RelevantSlice",
-                  table: SymbolTable) -> Dict[str, Any]:
+                  table: SymbolCodec) -> Dict[str, Any]:
     """A JSON-safe encoding of one Algorithm 1 slice (canonically
-    sorted), its symbols interned into ``table``."""
-    ref = table.ref
+    sorted), its symbols interned into ``table`` (or inlined, with
+    :data:`INLINE`)."""
     return {
-        "cluster": [ref(o) for o in sorted(slice_.cluster, key=_mem_key)],
-        "vp": [ref(o) for o in sorted(slice_.vp, key=_mem_key)],
+        "cluster": symbols_to_wire(slice_.cluster, table),
+        "vp": symbols_to_wire(slice_.vp, table),
         "stmts": [[table.fref(fn), idx] for fn, idx in
                   sorted((loc.function, loc.index)
                          for loc in slice_.statements)],
@@ -464,7 +513,7 @@ def slice_from_wire(data: Dict[str, Any], objs: List[MemObject],
                              for d in data["stmts"]))
 
 
-def cluster_to_wire(cluster: "Cluster", table: SymbolTable,
+def cluster_to_wire(cluster: "Cluster", table: SymbolCodec,
                     parent_wire: Optional[Dict[str, Any]] = None
                     ) -> Dict[str, Any]:
     """A JSON-safe encoding of one cascade cluster, parent provenance
@@ -473,8 +522,7 @@ def cluster_to_wire(cluster: "Cluster", table: SymbolTable,
     already-encoded parent slice (sibling clusters ship one shared
     encoding)."""
     out: Dict[str, Any] = {
-        "members": [table.ref(o)
-                    for o in sorted(cluster.members, key=_mem_key)],
+        "members": symbols_to_wire(cluster.members, table),
         "slice": slice_to_wire(cluster.slice, table),
         "origin": cluster.origin,
         "parent_size": cluster.parent_size,

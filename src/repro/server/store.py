@@ -22,6 +22,9 @@ re-bootstraps the file, then :meth:`FileState` re-analysis hits the
 cluster store for every cluster whose sliced sub-program is unchanged —
 so a one-function edit re-analyzes only the clusters whose slices pass
 through that function (the grain `tests/test_summary_cache.py` pins).
+The store also remembers each cluster's content key, so the reload
+encodes payloads only for those same clusters: an unchanged cluster's
+fingerprint comes from :attr:`ClusterStore.content_keys`.
 """
 
 from __future__ import annotations
@@ -123,6 +126,48 @@ class ServerConfig:
                          retries=self.retries, degrade=self.degrade)
 
 
+class _LRU:
+    """A map capped at ``limit`` entries that drops the least recently
+    used first; every method holds the owner's ``lock``."""
+
+    def __init__(self, limit: int, lock: threading.RLock) -> None:
+        self.limit = limit
+        self.evictions = 0
+        self._data: "OrderedDict[str, Any]" = OrderedDict()
+        self._lock = lock
+
+    def get(self, key: str) -> Any:
+        with self._lock:
+            value = self._data.get(key)
+            if value is not None:
+                self._data.move_to_end(key)
+            return value
+
+    def __setitem__(self, key: str, value: Any) -> None:
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > self.limit:
+                self._data.popitem(last=False)
+                self.evictions += 1
+
+    def __contains__(self, key: str) -> bool:
+        with self._lock:
+            return key in self._data
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._data)
+
+    def keys(self) -> List[str]:
+        with self._lock:
+            return list(self._data)
+
+    def values(self) -> List[Any]:
+        with self._lock:
+            return list(self._data.values())
+
+
 class ClusterStore:
     """Thread-safe LRU of cluster outcomes keyed by payload fingerprint.
 
@@ -130,6 +175,14 @@ class ClusterStore:
     instance can be passed straight to ``analyze_all(cache=...)``.  With
     a ``disk`` backing, reads fall through to disk (and promote into
     memory) and writes go to both, giving restarts a warm start.
+
+    :attr:`content_keys` remembers the payload fingerprint of every
+    cluster content key a load has seen (the ``known`` map of
+    :func:`~repro.core.shipping.cluster_fingerprints`, which
+    ``analyze_all`` picks up from its cache): a reload takes an
+    unchanged cluster's fingerprint from there and encodes only the
+    payloads of clusters the edit changed.  It is capped, like the
+    outcomes, at ``max_entries`` and lives only as long as the store.
     """
 
     def __init__(self, max_entries: int = 4096,
@@ -138,58 +191,47 @@ class ClusterStore:
             disk = SummaryCache(disk)
         self.disk = disk
         self.max_entries = max_entries
-        self._mem: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._lock = threading.RLock()
+        self._mem = _LRU(max_entries, self._lock)
+        self.content_keys = _LRU(max_entries, self._lock)
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
+
+    @property
+    def evictions(self) -> int:
+        return self._mem.evictions
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            outcome = self._mem.get(key)
-            if outcome is not None:
-                self._mem.move_to_end(key)
-                self.hits += 1
-                return outcome
-        if self.disk is not None:
+        outcome = self._mem.get(key)
+        if outcome is None and self.disk is not None:
             outcome = self.disk.get(key)
             if outcome is not None:
-                with self._lock:
-                    self.hits += 1
-                    self._insert(key, outcome)
-                return outcome
+                self._mem[key] = outcome
         with self._lock:
-            self.misses += 1
-        return None
+            if outcome is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return outcome
 
     def put(self, key: str, outcome: Dict[str, Any]) -> None:
-        with self._lock:
-            self._insert(key, outcome)
+        self._mem[key] = outcome
         if self.disk is not None:
             self.disk.put(key, outcome)
 
-    def _insert(self, key: str, outcome: Dict[str, Any]) -> None:
-        self._mem[key] = outcome
-        self._mem.move_to_end(key)
-        while len(self._mem) > self.max_entries:
-            self._mem.popitem(last=False)
-            self.evictions += 1
-
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            if key in self._mem:
-                return True
-        return self.disk is not None and key in self.disk
+        return key in self._mem or (self.disk is not None
+                                    and key in self.disk)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._mem)
+        return len(self._mem)
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             return {
                 "entries": len(self._mem),
                 "max_entries": self.max_entries,
+                "content_keys": len(self.content_keys),
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
@@ -207,6 +249,7 @@ class RefreshStats:
     seconds: float
     reason: str       # "cold" | "changed" | "invalidate"
     degraded: int = 0  # clusters served at reduced precision
+    encoded: int = 0  # payloads built: clusters with new content keys
 
     @property
     def reanalyzed_fraction(self) -> float:
@@ -495,9 +538,9 @@ class FileStore:
         self.config = config
         self.clusters = clusters if clusters is not None else ClusterStore(
             max_entries=config.max_clusters, disk=config.cache_dir)
-        self._files: "OrderedDict[str, FileState]" = OrderedDict()
-        self._locks: Dict[str, threading.RLock] = {}
         self._lock = threading.RLock()
+        self._files = _LRU(config.max_files, self._lock)
+        self._locks: Dict[str, threading.RLock] = {}
         self.loads = 0
         self.invalidations = 0
 
@@ -520,8 +563,7 @@ class FileStore:
         """
         path = os.path.abspath(path)
         with self._file_lock(path):
-            with self._lock:
-                state = self._files.get(path)
+            state = self._files.get(path)
             if state is not None and self.config.watch \
                     and state.source_changed():
                 state = self._load(path, reason="changed",
@@ -531,11 +573,7 @@ class FileStore:
                                    deadline=deadline)
             if state.deadline_clamped and state.refresh.degraded:
                 return state
-            with self._lock:
-                self._files[path] = state
-                self._files.move_to_end(path)
-                while len(self._files) > self.config.max_files:
-                    self._files.popitem(last=False)
+            self._files[path] = state
             return state
 
     def invalidate(self, path: str) -> FileState:
@@ -545,18 +583,14 @@ class FileStore:
         with self._file_lock(path):
             self.invalidations += 1
             state = self._load(path, reason="invalidate")
-            with self._lock:
-                self._files[path] = state
-                self._files.move_to_end(path)
+            self._files[path] = state
             return state
 
     def paths(self) -> List[str]:
-        with self._lock:
-            return list(self._files)
+        return self._files.keys()
 
     def states(self) -> List[FileState]:
-        with self._lock:
-            return list(self._files.values())
+        return self._files.values()
 
     # ------------------------------------------------------------------
     def _load(self, path: str, reason: str,
@@ -606,7 +640,8 @@ class FileStore:
             reused=report.cache_hits,
             seconds=time.perf_counter() - t0,
             reason=reason,
-            degraded=len(degraded))
+            degraded=len(degraded),
+            encoded=report.encoded)
         self.loads += 1
         state = FileState(path=path,
                           source_hash=_source_fingerprint(source),

@@ -16,6 +16,7 @@ from repro.core import (
     payload_fingerprint,
     resolve_pointer,
 )
+from repro.core.shipping import cluster_content_keys
 from repro.frontend import parse_program
 from repro.ir import Loc
 from repro.server import (
@@ -27,6 +28,7 @@ from repro.server import (
 )
 from repro.server import protocol
 from repro.server.protocol import ServerError
+from repro.server.store import FileStore
 
 #: Four independent pointer webs, one per function: a one-function edit
 #: must leave the other webs' cluster fingerprints untouched.
@@ -430,6 +432,113 @@ class TestIncrementality:
         state = second.files.states()[0]
         assert state.refresh.reanalyzed == 0
         assert state.refresh.reused == state.refresh.clusters
+
+
+def test_invalidate_respects_max_files(tmp_path):
+    """``invalidate`` inserts through the same bounded LRU as ``get``."""
+    files = FileStore(ServerConfig(max_files=1))
+    paths = []
+    for name in ("one", "two", "three"):
+        path = tmp_path / f"{name}.c"
+        path.write_text(DEMO)
+        paths.append(str(path))
+        files.invalidate(str(path))
+    assert files.paths() == [paths[-1]]
+
+
+def count_payloads(monkeypatch):
+    """Record every ``build_payload`` call, at each binding a load
+    reaches it through (``cluster_fingerprints`` and ``analyze_all``);
+    returns the list the calls' clusters are appended to."""
+    from repro.core import bootstrap, shipping
+    calls = []
+    original = shipping.build_payload
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(shipping, "build_payload", counting)
+    monkeypatch.setattr(bootstrap, "build_payload", counting)
+    return calls
+
+
+@pytest.fixture()
+def encodes(monkeypatch):
+    return count_payloads(monkeypatch)
+
+
+def content_keys_of(source):
+    program = parse_program(source, entry="main")
+    result = BootstrapAnalyzer(program).run()
+    return set(cluster_content_keys(program, result.clusters,
+                                    result.callgraph))
+
+
+class TestReloadEncoding:
+    """A reload encodes payloads only for clusters with new content."""
+
+    def test_noop_invalidate_encodes_nothing(self, server, demo_file,
+                                             encodes):
+        cold = result_of(server, "points_to", file=demo_file, ptr="q")
+        assert len(encodes) == server.files.states()[0].refresh.encoded
+        encodes.clear()
+        refresh = result_of(server, "invalidate", file=demo_file)
+        assert encodes == []
+        assert refresh["encoded"] == 0 and refresh["reanalyzed"] == 0
+        assert result_of(server, "points_to", file=demo_file,
+                         ptr="q") == cold
+
+    def test_edit_encodes_only_new_content_keys(self, server, demo_file,
+                                                encodes):
+        result_of(server, "points_to", file=demo_file, ptr="u")
+        with open(demo_file, "w") as handle:
+            handle.write(DEMO_EDITED)
+        encodes.clear()
+        refresh = result_of(server, "invalidate", file=demo_file)
+        new_keys = content_keys_of(DEMO_EDITED) - content_keys_of(DEMO)
+        assert len(encodes) == refresh["encoded"] == len(new_keys)
+        assert 0 < refresh["encoded"] < refresh["clusters"]
+        # Answers equal a fresh daemon's on the edited file.
+        fresh = AliasServer(ServerConfig())
+        program = parse_program(DEMO_EDITED, entry="main")
+        for p in sorted(program.pointers, key=str):
+            assert result_of(server, "points_to", file=demo_file,
+                             ptr=str(p)) == \
+                result_of(fresh, "points_to", file=demo_file, ptr=str(p))
+
+    def test_key_map_is_capped_at_max_clusters(self, demo_file):
+        server = AliasServer(ServerConfig(max_clusters=3))
+        result_of(server, "points_to", file=demo_file, ptr="q")
+        assert server.files.states()[0].refresh.clusters > 3
+        store = server.files.clusters
+        assert len(store.content_keys) == 3
+        with open(demo_file, "w") as handle:
+            handle.write(DEMO_EDITED)
+        result_of(server, "invalidate", file=demo_file)
+        assert len(store.content_keys) == 3
+        assert store.stats()["content_keys"] == 3
+
+    def test_evicted_outcome_with_remembered_key_is_resolved(
+            self, demo_file, encodes):
+        server = AliasServer(ServerConfig(max_clusters=64))
+        program = parse_program(DEMO, entry="main")
+        before = {str(p): result_of(server, "points_to", file=demo_file,
+                                    ptr=str(p))
+                  for p in program.pointers}
+        store = server.files.clusters
+        clusters = server.files.states()[0].refresh.clusters
+        for i in range(64):                  # push every outcome out
+            store.put(f"filler-{i}", {"points_to": {}})
+        assert len(store.content_keys) == clusters
+        encodes.clear()
+        refresh = result_of(server, "invalidate", file=demo_file)
+        assert encodes == [] and refresh["encoded"] == 0
+        assert refresh["reanalyzed"] == clusters
+        after = {str(p): result_of(server, "points_to", file=demo_file,
+                                   ptr=str(p))
+                 for p in program.pointers}
+        assert after == before
 
 
 # ----------------------------------------------------------------------
