@@ -54,6 +54,21 @@ class Atom:
         return f"{self.loc}: {self.r} {op} {self.s}"
 
 
+def _object_order(obj: MemObject) -> Tuple:
+    if isinstance(obj, Var):
+        return (0, obj.name, obj.function is not None, obj.function or "")
+    return (1, obj.label)
+
+
+def atom_order(atom: Atom) -> Tuple:
+    """Sort key of atoms: a total order that agrees with the dataclass
+    order of :class:`Atom` wherever that is defined.  (It is not defined
+    between a variable and an allocation site, nor between a global and
+    a local of the same name.)"""
+    return (atom.kind, atom.loc, _object_order(atom.r),
+            _object_order(atom.s), atom.positive)
+
+
 #: A conjunction of atoms.  The empty conjunction is ``true``.
 Constraint = FrozenSet[Atom]
 
@@ -87,28 +102,35 @@ def conjoin(cond: Constraint, atom: Atom,
     here was a soundness bug our fuzzing caught: a cell written on the
     second of two calls to the same function lost its update.)
 
-    When the conjunction would exceed ``max_atoms`` the oldest atoms are
-    dropped — weakening a condition only admits more aliases, which is
-    the sound direction for a may analysis (documented cap; the paper
-    suggests BDDs for the same growth problem).
+    When the conjunction would exceed ``max_atoms``, the result keeps the
+    smallest ``max_atoms - 1`` atoms in :func:`atom_order` plus ``atom``
+    itself (or the smallest ``max_atoms`` when ``atom`` is among them).
+    Weakening a condition only admits more aliases, which is the sound
+    direction for a may analysis (documented cap; the paper suggests
+    BDDs for the same growth problem).
 
     The ``Optional`` return type is kept for future refinements that can
     prove single-visit locations; current callers handle ``None``.
     """
     out = cond | {atom}
     if max_atoms is not None and len(out) > max_atoms:
-        out = frozenset(sorted(out)[:max_atoms])
-        if atom not in out:
-            out = frozenset(list(sorted(out))[: max_atoms - 1] + [atom])
+        kept = sorted(out, key=atom_order)[:max_atoms]
+        if atom not in kept:
+            kept = kept[: max_atoms - 1] + [atom]
+        out = frozenset(kept)
     return out
 
 
 def merge(a: Constraint, b: Constraint,
           max_atoms: Optional[int] = None) -> Optional[Constraint]:
     """Conjunction of two constraints (see :func:`conjoin` on why
-    syntactic contradictions survive)."""
+    syntactic contradictions survive).
+
+    ``b``'s atoms are conjoined in :func:`atom_order`: under the cap,
+    :func:`conjoin` keeps the newest atom, so a set-iteration order would
+    make the result follow ``PYTHONHASHSEED``."""
     out: Optional[Constraint] = a
-    for atom in b:
+    for atom in sorted(b, key=atom_order):
         out = conjoin(out, atom, max_atoms)
         if out is None:
             return None
@@ -154,4 +176,4 @@ class SatOracle:
 def format_constraint(cond: Constraint) -> str:
     if not cond:
         return "true"
-    return " ∧ ".join(str(a) for a in sorted(cond))
+    return " ∧ ".join(str(a) for a in sorted(cond, key=atom_order))

@@ -26,13 +26,36 @@ Recursion is handled by a demand-driven monotone fixpoint over
 paper's reverse-topological SCC processing, computed on demand.
 Constraint growth is capped (see :mod:`.constraints`); capping only
 weakens conditions, which over-approximates — the sound direction.
+
+The engine is a kernel over dense ints, as :class:`~.fsci.FSCI` is over
+bit masks; terms and constraints become objects only at the public API:
+
+* terms are interned to ids, and constraints are hash-consed to ids
+  (``0`` is ``TRUE``), each with its satisfiability decided once, when
+  it is interned, from memoized per-atom :class:`~.constraints.SatOracle`
+  verdicts;
+* ``conjoin`` and ``merge`` are memoized on ids and fall back to
+  :func:`~.constraints.conjoin` / :func:`~.constraints.merge`, which
+  keep the cap rule;
+* each walked function gets one node-kind table (skip, assume, call or
+  pointer transfer), and each pointer-transfer node an Algorithm-4
+  *recipe* per term: the continuation terms with the atoms to conjoin,
+  built on first use, which is the only time FSCI is consulted;
+* worklists hold int triples, dependencies are insertion-ordered dicts
+  and FSCI-resolved objects are emitted sorted, so ``steps`` repeats
+  under every ``PYTHONHASHSEED``.
+
+Summaries stay in id form and are decoded on each call.
+:class:`~.reference.ReferenceSummaryEngine`, the same algorithm over
+frozensets, is the oracle ``tests/test_summary_kernel.py`` compares it
+against.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import AnalysisBudgetExceeded
 from ..ir import (
@@ -52,6 +75,7 @@ from ..ir import (
 )
 from .constraints import (
     TRUE,
+    Atom,
     Constraint,
     SatOracle,
     conjoin,
@@ -141,6 +165,48 @@ class SummaryTuple:
                 f"{format_constraint(self.cond)})")
 
 
+#: Node kinds of a function's transfer table.
+_SKIP, _ASSUME, _CALL, _TRANSFER = 0, 1, 2, 3
+
+_TRANSFERS = (Copy, AddrOf, Load, NullAssign, Store)
+
+#: One Algorithm-4 continuation in object form: the value becomes
+#: ``term`` once ``atoms`` are conjoined, in order, to the condition.
+_Step = Tuple[Term, Tuple[Atom, ...]]
+
+#: The recipe of a transfer node that leaves a term unchanged.
+_IDENTITY: Any = object()
+
+#: Summary entries in id form: (term id, constraint id) pairs.
+_Entries = FrozenSet[Tuple[int, int]]
+_NO_ENTRIES: _Entries = frozenset()
+
+#: A fixpoint key: (function, term id).
+_Key = Tuple[str, int]
+
+
+class _FunctionTable:
+    """One function's node-kind table, built when the engine first walks
+    the function.
+
+    ``ops[n]`` is ``None`` for a skip, the atom id of an assume, the
+    callee tuple of a call (``None`` standing for a transparent callee)
+    or, for a pointer transfer, the dict from term id to recipe.  A
+    recipe is a tuple of ``(term id, atom ids)`` continuations, or
+    :data:`_IDENTITY`.  ``preds`` is the CFG's own predecessor lists,
+    not a copy: the daemon keeps every cluster's engine alive."""
+
+    __slots__ = ("kinds", "ops", "preds", "entry", "exit")
+
+    def __init__(self, kinds: List[int], ops: List[Any],
+                 preds: List[List[int]], entry: int, exit: int) -> None:
+        self.kinds = kinds
+        self.ops = ops
+        self.preds = preds
+        self.entry = entry
+        self.exit = exit
+
+
 class SummaryEngine:
     """Backward interprocedural summary computation for one cluster.
 
@@ -182,10 +248,30 @@ class SummaryEngine:
         self.deadline = deadline
         self.steps = 0
         self._callgraph = callgraph or CallGraph(program)
-        self._summaries: Dict[Tuple[str, Term], FrozenSet[SummaryEntry]] = {}
-        self._deps: Dict[Tuple[str, Term], Set[Tuple[str, Term]]] = {}
-        self._done: Set[Tuple[str, Term]] = set()
+        # St_P as node indices per function.
+        self._relevant_nodes: Dict[str, Set[int]] = {}
+        for loc in relevant or ():
+            self._relevant_nodes.setdefault(loc.function, set()).add(loc.index)
         self._transparent = self._compute_transparent()
+        # Interned terms and atoms; hash-consed constraints (id 0 is
+        # TRUE), each with its satisfiability.
+        self._term_ids: Dict[Term, int] = {}
+        self._terms: List[Term] = []
+        self._terminal: List[bool] = []
+        self._atom_ids: Dict[Atom, int] = {}
+        self._atoms: List[Atom] = []
+        self._atom_sat: Dict[Atom, bool] = {}
+        self._cond_ids: Dict[Constraint, int] = {}
+        self._conds: List[Constraint] = []
+        self._cond_sat: List[bool] = []
+        self._cond_id(TRUE)
+        # conjoin memo per atom id (cond id -> cond id); merge memo.
+        self._conjoin_memo: List[Dict[int, int]] = []
+        self._merge_memo: Dict[Tuple[int, int], int] = {}
+        self._tables: Dict[str, _FunctionTable] = {}
+        self._summaries: Dict[_Key, _Entries] = {}
+        self._deps: Dict[_Key, Dict[_Key, None]] = {}
+        self._done: Set[_Key] = set()
 
     # ------------------------------------------------------------------
     # transparency: functions that cannot touch the cluster at all
@@ -196,7 +282,7 @@ class SummaryEngine:
         summaries for a given cluster."""
         if self.relevant is not None:
             # Relevant locations are canonical by construction.
-            modifiers = {loc.function for loc in self.relevant}
+            modifiers = set(self._relevant_nodes)
         else:
             modifiers = {loc.function
                          for loc, stmt in self.program.statements()
@@ -208,19 +294,13 @@ class SummaryEngine:
         return func in self._transparent
 
     # ------------------------------------------------------------------
-    # public API
+    # public API: Term / Constraint objects in and out
     # ------------------------------------------------------------------
     def exit_summary(self, func: str, term: Term) -> FrozenSet[SummaryEntry]:
         """Value of ``term`` at ``func``'s exit, at-entry or terminal."""
-        if term.is_terminal:
+        if term.is_terminal or self.is_transparent(func):
             return frozenset({(term, TRUE)})
-        if self.is_transparent(func):
-            return frozenset({(term, TRUE)})
-        key = (func, term)
-        if key in self._done:
-            return self._summaries[key]
-        self._fixpoint(key)
-        return self._summaries[key]
+        return self._decode(self._exit(func, self._term_id(term)))
 
     def function_summary(self, func: str,
                          pointers: Iterable[Var]) -> List[SummaryTuple]:
@@ -246,150 +326,306 @@ class SummaryEngine:
             return frozenset({(term, cond)})
         cfg = self.program.cfg_of(loc.function)
         if after:
-            starts = [(loc.index, term, cond)]
+            nodes: Tuple[int, ...] = (loc.index,)
+        elif loc.index == cfg.entry:
+            return frozenset({(term, cond)})
         else:
-            starts = [(p, term, cond) for p in cfg.predecessors(loc.index)]
-            if loc.index == cfg.entry:
-                return frozenset({(term, cond)})
-        return self._walk(loc.function, starts)
+            nodes = cfg.predecessors(loc.index)
+        tid, cid = self._term_id(term), self._cond_id(cond)
+        return self._decode(self._walk(
+            loc.function, [(node, tid, cid) for node in nodes]))
+
+    def _decode(self, entries: Iterable[Tuple[int, int]]
+                ) -> FrozenSet[SummaryEntry]:
+        terms, conds = self._terms, self._conds
+        return frozenset([(terms[t], conds[c]) for t, c in entries])
+
+    # ------------------------------------------------------------------
+    # interning and memoized constraint algebra
+    # ------------------------------------------------------------------
+    def _term_id(self, term: Term) -> int:
+        tid = self._term_ids.get(term)
+        if tid is None:
+            tid = self._term_ids[term] = len(self._terms)
+            self._terms.append(term)
+            self._terminal.append(term.is_terminal)
+        return tid
+
+    def _atom_id(self, atom: Atom) -> int:
+        aid = self._atom_ids.get(atom)
+        if aid is None:
+            aid = self._atom_ids[atom] = len(self._atoms)
+            self._atoms.append(atom)
+            self._conjoin_memo.append({})
+        return aid
+
+    def _cond_id(self, cond: Constraint) -> int:
+        """Hash-cons ``cond``, deciding its satisfiability on first
+        sight."""
+        cid = self._cond_ids.get(cond)
+        if cid is None:
+            cid = self._cond_ids[cond] = len(self._conds)
+            self._conds.append(cond)
+            self._cond_sat.append(all(self._atom_satisfiable(a)
+                                      for a in cond))
+        return cid
+
+    def _atom_satisfiable(self, atom: Atom) -> bool:
+        verdict = self._atom_sat.get(atom)
+        if verdict is None:
+            verdict = self._atom_sat[atom] = self.sat.atom_satisfiable(atom)
+        return verdict
+
+    def _conjoin(self, cid: int, aid: int) -> int:
+        """Id of ``cond ∧ atom``; ``-1`` where :func:`conjoin` refutes."""
+        memo = self._conjoin_memo[aid]
+        out = memo.get(cid)
+        if out is None:
+            cond = conjoin(self._conds[cid], self._atoms[aid],
+                           self.max_cond_atoms)
+            out = memo[cid] = -1 if cond is None else self._cond_id(cond)
+        return out
+
+    def _merge(self, a: int, b: int) -> int:
+        """Id of ``a ∧ b``; ``-1`` where :func:`merge` refutes."""
+        if not b:
+            return a
+        out = self._merge_memo.get((a, b))
+        if out is None:
+            cond = merge(self._conds[a], self._conds[b], self.max_cond_atoms)
+            out = self._merge_memo[a, b] = \
+                -1 if cond is None else self._cond_id(cond)
+        return out
 
     # ------------------------------------------------------------------
     # fixpoint driver
     # ------------------------------------------------------------------
-    def _fixpoint(self, root: Tuple[str, Term]) -> None:
-        worklist: List[Tuple[str, Term]] = [root]
+    def _exit(self, func: str, tid: int) -> _Entries:
+        """The exit summary of ``(func, term id)`` in id form."""
+        if self._terminal[tid] or func in self._transparent:
+            return frozenset({(tid, 0)})
+        key = (func, tid)
+        if key not in self._done:
+            self._fixpoint(key)
+        return self._summaries[key]
+
+    def _fixpoint(self, root: _Key) -> None:
+        summaries, deps, done = self._summaries, self._deps, self._done
+        worklist: List[_Key] = [root]
         queued = {root}
         while worklist:
             key = worklist.pop()
             queued.discard(key)
-            old = self._summaries.get(key, frozenset())
-            self._summaries.setdefault(key, frozenset())
-            self._done.add(key)
-            requested: Set[Tuple[str, Term]] = set()
-            new = self._compute_exit(key, requested)
+            old = summaries.setdefault(key, _NO_ENTRIES)
+            done.add(key)
+            func, tid = key
+            requested: Dict[_Key, None] = {}
+            new = self._walk(func, [(self._table(func).exit, tid, 0)],
+                             requested)
             for req in requested:
-                self._deps.setdefault(req, set()).add(key)
-                if req not in self._done and req not in queued:
+                deps.setdefault(req, {})[key] = None
+                if req not in done and req not in queued:
                     worklist.append(req)
                     queued.add(req)
             if new != old:
-                self._summaries[key] = new | old
-                for dep in self._deps.get(key, ()):
+                summaries[key] = old.union(new)
+                for dep in deps.get(key, ()):
                     if dep not in queued:
                         worklist.append(dep)
                         queued.add(dep)
 
-    def _compute_exit(self, key: Tuple[str, Term],
-                      requested: Set[Tuple[str, Term]]) -> FrozenSet[SummaryEntry]:
-        func, term = key
-        cfg = self.program.cfg_of(func)
-        return self._walk(func, [(cfg.exit, term, TRUE)], requested)
-
     # ------------------------------------------------------------------
     # the backward walk (Algorithm 5's worklist, intraprocedural steps)
     # ------------------------------------------------------------------
-    def _walk(self, func: str,
-              starts: List[Tuple[int, Term, Constraint]],
-              requested: Optional[Set[Tuple[str, Term]]] = None
-              ) -> FrozenSet[SummaryEntry]:
-        cfg = self.program.cfg_of(func)
-        results: Set[SummaryEntry] = set()
-        processed: Set[Tuple[int, Term, Constraint]] = set()
-        work: List[Tuple[int, Term, Constraint]] = []
-
-        def push(node: int, term: Term, cond: Constraint) -> None:
-            if term.is_terminal and not self.path_sensitive:
+    def _walk(self, func: str, starts: List[Tuple[int, int, int]],
+              requested: Optional[Dict[_Key, None]] = None
+              ) -> Set[Tuple[int, int]]:
+        table = self._table(func)
+        kinds, ops, preds_of, entry = \
+            table.kinds, table.ops, table.preds, table.entry
+        terminal, cond_sat = self._terminal, self._cond_sat
+        path_sensitive = self.path_sensitive
+        budget, deadline = self.budget, self.deadline
+        results: Set[Tuple[int, int]] = set()
+        processed: Set[Tuple[int, int, int]] = set()
+        work: List[Tuple[int, int, int]] = []
+        for item in starts:
+            if terminal[item[1]] and not path_sensitive:
                 # Resolved value: nothing before can change it.  With
                 # path sensitivity on we keep walking to collect the
                 # branch constraints that gate this path segment.
-                results.add((term, cond))
-                return
-            item = (node, term, cond)
-            if item not in processed:
+                results.add((item[1], item[2]))
+            elif item not in processed:
                 processed.add(item)
                 work.append(item)
-
-        for node, term, cond in starts:
-            push(node, term, cond)
-
         while work:
-            self.steps += 1
-            if self.budget is not None and self.steps > self.budget:
-                raise AnalysisBudgetExceeded("summary-engine", self.steps)
-            if self.deadline is not None and self.steps % 256 == 0 \
-                    and time.monotonic() > self.deadline:
-                raise AnalysisBudgetExceeded("summary-engine", self.steps)
-            node, term, cond = work.pop()
-            loc = Loc(func, node)
-            stmt = cfg.stmt(node)
-            conts = self._inverse(loc, stmt, term, cond, requested)
-            for t, c in conts:
-                if not self.sat.satisfiable(c):
+            self.steps = steps = self.steps + 1
+            if budget is not None and steps > budget:
+                raise AnalysisBudgetExceeded("summary-engine", steps)
+            if deadline is not None and steps % 256 == 0 \
+                    and time.monotonic() > deadline:
+                raise AnalysisBudgetExceeded("summary-engine", steps)
+            node, tid, cid = work.pop()
+            kind = kinds[node]
+            preds = preds_of[node]
+            if kind == _SKIP or (terminal[tid] and kind != _ASSUME):
+                # The term and condition carry over unchanged (a
+                # resolved value only collects branch constraints).
+                # Most steps land here, so the push is inlined.
+                if not cond_sat[cid]:
                     continue
-                if t.is_terminal and not self.path_sensitive:
+                if node == entry or not preds:
+                    results.add((tid, cid))
+                    continue
+                for pred in preds:
+                    nxt = (pred, tid, cid)
+                    if nxt not in processed:
+                        processed.add(nxt)
+                        work.append(nxt)
+                continue
+            conts: Iterable[Tuple[int, int]]
+            if kind == _TRANSFER:
+                conts = self._transfer(func, node, ops[node], tid, cid)
+            elif kind == _ASSUME:
+                # Path sensitivity (paper Section 3): record the
+                # branching constraint; satisfiability weeds out
+                # infeasible tuples.
+                c = self._conjoin(cid, ops[node])
+                conts = ((tid, c),) if c >= 0 else ()
+            else:
+                conts = self._splice(ops[node], tid, cid, requested)
+            for t, c in conts:
+                if not cond_sat[c]:
+                    continue
+                if node == entry or not preds \
+                        or (terminal[t] and not path_sensitive):
                     results.add((t, c))
-                elif node == cfg.entry:
-                    results.add((t, c))
-                else:
-                    preds = cfg.predecessors(node)
-                    if not preds:
-                        results.add((t, c))
-                    for pred in preds:
-                        push(pred, t, c)
-        return frozenset(results)
+                    continue
+                for pred in preds:
+                    nxt = (pred, t, c)
+                    if nxt not in processed:
+                        processed.add(nxt)
+                        work.append(nxt)
+        return results
+
+    def _transfer(self, func: str, node: int, recipes: Dict[int, Any],
+                  tid: int, cid: int) -> List[Tuple[int, int]]:
+        """Apply a pointer-transfer node's recipe for ``tid``, building
+        it on first use."""
+        recipe = recipes.get(tid)
+        if recipe is None:
+            recipe = recipes[tid] = self._recipe(func, node, tid)
+        if recipe is _IDENTITY:
+            return [(tid, cid)]
+        out: List[Tuple[int, int]] = []
+        for t, atoms in recipe:
+            c = cid
+            for aid in atoms:
+                c = self._conjoin(c, aid)
+                if c < 0:
+                    break
+            else:
+                out.append((t, c))
+        return out
+
+    def _splice(self, callees: Tuple[Optional[str], ...], tid: int, cid: int,
+                requested: Optional[Dict[_Key, None]]
+                ) -> List[Tuple[int, int]]:
+        """Splice callee exit summaries (Algorithm 5 lines 9-18)."""
+        out: List[Tuple[int, int]] = []
+        for g in callees:
+            if g is None:  # transparent callee
+                out.append((tid, cid))
+                continue
+            if requested is not None:
+                # The current (possibly empty) value is a monotone
+                # under-approximation that the fixpoint driver repairs.
+                key = (g, tid)
+                requested[key] = None
+                entries = self._summaries.setdefault(key, _NO_ENTRIES)
+            else:
+                entries = self._exit(g, tid)
+            for w, c in entries:
+                m = self._merge(cid, c)
+                if m >= 0:
+                    out.append((w, m))
+        return out
 
     # ------------------------------------------------------------------
-    # Algorithm 4: inverse transfer of one statement over a term
+    # per-function node-kind tables
     # ------------------------------------------------------------------
-    def _inverse(self, loc: Loc, stmt: Statement, term: Term,
-                 cond: Constraint,
-                 requested: Optional[Set[Tuple[str, Term]]]
-                 ) -> List[SummaryEntry]:
-        if term.is_terminal and not isinstance(stmt, Assume):
-            # A resolved value only collects branch constraints.
-            return [(term, cond)]
-        if isinstance(stmt, CallStmt):
-            return self._inverse_call(stmt, term, cond, requested)
-        if isinstance(stmt, Assume):
-            # Path sensitivity (paper Section 3): record the branching
-            # constraint; the FSCI-backed oracle weeds out infeasible
-            # tuples at satisfiability-check time.
-            if not self.path_sensitive:
-                return [(term, cond)]
-            if stmt.rhs is None:
-                atom = null_atom(loc, stmt.lhs, stmt.equal)
-            else:
-                atom = same_object_atom(loc, stmt.lhs, stmt.rhs, stmt.equal)
-            refined = conjoin(cond, atom, self.max_cond_atoms)
-            return [(term, refined)] if refined is not None else []
-        if not stmt.is_pointer_assign:
-            return [(term, cond)]
-        if self.relevant is not None and loc not in self.relevant:
-            # Outside St_P the reduced program executes a skip.
-            return [(term, cond)]
+    def _table(self, func: str) -> _FunctionTable:
+        table = self._tables.get(func)
+        if table is None:
+            table = self._tables[func] = self._compile(func)
+        return table
+
+    def _compile(self, func: str) -> _FunctionTable:
+        cfg = self.program.cfg_of(func)
+        functions = self.program.functions
+        relevant = (None if self.relevant is None
+                    else self._relevant_nodes.get(func, set()))
+        kinds: List[int] = []
+        ops: List[Any] = []
+        for idx, stmt in cfg.statements():
+            kind: int = _SKIP
+            op: Any = None
+            if isinstance(stmt, CallStmt):
+                callees = tuple(None if g in self._transparent else g
+                                for g in stmt.targets if g in functions)
+                if callees:
+                    kind, op = _CALL, callees
+            elif isinstance(stmt, Assume):
+                if self.path_sensitive:
+                    loc = Loc(func, idx)
+                    if stmt.rhs is None:
+                        atom = null_atom(loc, stmt.lhs, stmt.equal)
+                    else:
+                        atom = same_object_atom(loc, stmt.lhs, stmt.rhs,
+                                                stmt.equal)
+                    kind, op = _ASSUME, self._atom_id(atom)
+            elif isinstance(stmt, _TRANSFERS) and (
+                    relevant is None or idx in relevant):
+                # Outside St_P the reduced program executes a skip.
+                kind, op = _TRANSFER, {}
+            kinds.append(kind)
+            ops.append(op)
+        assert cfg.exit is not None
+        return _FunctionTable(kinds, ops, cfg._preds, cfg.entry, cfg.exit)
+
+    # ------------------------------------------------------------------
+    # Algorithm 4: inverse transfer of one statement over a term, in
+    # object form; built once per (transfer node, term)
+    # ------------------------------------------------------------------
+    def _recipe(self, func: str, node: int, tid: int) -> Any:
+        term = self._terms[tid]
+        steps = self._inverse(Loc(func, node),
+                              self.program.cfg_of(func).stmt(node), term)
+        if steps == [(term, ())]:
+            return _IDENTITY
+        return tuple((self._term_id(t), tuple(map(self._atom_id, atoms)))
+                     for t, atoms in steps)
+
+    def _inverse(self, loc: Loc, stmt: Statement, term: Term) -> List[_Step]:
         if isinstance(stmt, Copy):
-            return self._inverse_write(loc, stmt.lhs, ObjTerm(stmt.rhs),
-                                       term, cond)
+            return self._inverse_write(loc, stmt.lhs, ObjTerm(stmt.rhs), term)
         if isinstance(stmt, AddrOf):
             return self._inverse_write(loc, stmt.lhs, AddrTerm(stmt.target),
-                                       term, cond)
+                                       term)
         if isinstance(stmt, Load):
             return self._inverse_write(loc, stmt.lhs, DerefTerm(stmt.rhs),
-                                       term, cond)
+                                       term)
         if isinstance(stmt, NullAssign):
-            return self._inverse_write(loc, stmt.lhs, NullTerm(), term, cond)
-        if isinstance(stmt, Store):
-            return self._inverse_store(loc, stmt.lhs, stmt.rhs, term, cond)
-        return [(term, cond)]
+            return self._inverse_write(loc, stmt.lhs, NullTerm(), term)
+        assert isinstance(stmt, Store)
+        return self._inverse_store(loc, stmt.lhs, stmt.rhs, term)
 
     def _inverse_write(self, loc: Loc, lhs: Var, value: Term,
-                       term: Term, cond: Constraint) -> List[SummaryEntry]:
+                       term: Term) -> List[_Step]:
         """Inverse of a direct write ``lhs = <value>`` (Algorithm 4's
         "r is a pointer variable" arm)."""
         if isinstance(term, ObjTerm):
-            if term.obj == lhs:
-                return [(value, cond)]
-            return [(term, cond)]
+            return [(value if term.obj == lhs else term, ())]
         assert isinstance(term, DerefTerm)
         s = term.var
         if s == lhs:
@@ -397,115 +633,78 @@ class SummaryEngine:
             # after it, s holds <value>, so *s is the content of the cell
             # behind <value> — evaluated AFTER the statement, because the
             # statement may have written that very cell (s = &s etc.).
-            return self._deref_after_write(loc, lhs, value, cond)
+            return self._deref_after_write(loc, lhs, value)
         # The write may also have landed in the cell s points to, iff
         # s -> lhs at this point (Algorithm 4 lines 10-18).
         pts_s = self._pts_before(loc, s)
         if pts_s is not None and lhs not in pts_s:
-            return [(term, cond)]
-        out: List[SummaryEntry] = []
-        hit = conjoin(cond, points_to_atom(loc, s, lhs, True),
-                      self.max_cond_atoms)
-        if hit is not None:
-            out.append((value, hit))
-        miss = conjoin(cond, points_to_atom(loc, s, lhs, False),
-                       self.max_cond_atoms)
-        if miss is not None:
-            out.append((term, miss))
-        return out
+            return [(term, ())]
+        return [(value, (points_to_atom(loc, s, lhs, True),)),
+                (term, (points_to_atom(loc, s, lhs, False),))]
 
     def _inverse_store(self, loc: Loc, u: Var, t: Var,
-                       term: Term, cond: Constraint) -> List[SummaryEntry]:
+                       term: Term) -> List[_Step]:
         """Inverse of ``*u = t`` (Algorithm 4's "r is of the form ~u")."""
         value = ObjTerm(t)
         if isinstance(term, ObjTerm):
             v = term.obj
             pts_u = self._pts_before(loc, u)
             if pts_u is not None and v not in pts_u:
-                return [(term, cond)]
-            out: List[SummaryEntry] = []
-            hit = conjoin(cond, points_to_atom(loc, u, v, True),
-                          self.max_cond_atoms)
-            if hit is not None:
-                out.append((value, hit))
-            miss = conjoin(cond, points_to_atom(loc, u, v, False),
-                           self.max_cond_atoms)
-            if miss is not None:
-                out.append((term, miss))
-            return out
+                return [(term, ())]
+            return [(value, (points_to_atom(loc, u, v, True),)),
+                    (term, (points_to_atom(loc, u, v, False),))]
         assert isinstance(term, DerefTerm)
         s = term.var
         if s == u:
-            return [(value, cond)]
-        out: List[SummaryEntry] = []
+            return [(value, ())]
+        out: List[_Step] = []
+        base: Tuple[Atom, ...] = ()
         # The store may overwrite the *base* variable s itself (when u
         # points to s), changing which cell *s denotes; resolve that
         # branch through FSCI at the after-state (fully conservative).
         pts_u = self._pts_before(loc, u)
-        base_cond: Optional[Constraint] = cond
         if pts_u is None or s in pts_u:
-            hit = conjoin(cond, points_to_atom(loc, u, s, True),
-                          self.max_cond_atoms)
-            if hit is not None:
-                out.extend(self._resolve_deref_after(loc, s, hit))
-            base_cond = conjoin(cond, points_to_atom(loc, u, s, False),
-                                self.max_cond_atoms)
-            if base_cond is None:
-                return out
+            hit = (points_to_atom(loc, u, s, True),)
+            out.extend((w, hit) for w in self._contents_after(loc, s))
+            base = (points_to_atom(loc, u, s, False),)
         # With s unchanged, the store affects *s only if s and u point to
         # the same cell (Algorithm 4 lines 28-35).
         if not self._may_alias_at(loc, s, u):
-            out.append((term, base_cond))
+            out.append((term, base))
             return out
-        hit = conjoin(base_cond, same_object_atom(loc, s, u, True),
-                      self.max_cond_atoms)
-        if hit is not None:
-            out.append((value, hit))
-        miss = conjoin(base_cond, same_object_atom(loc, s, u, False),
-                       self.max_cond_atoms)
-        if miss is not None:
-            out.append((term, miss))
+        out.append((value, base + (same_object_atom(loc, s, u, True),)))
+        out.append((term, base + (same_object_atom(loc, s, u, False),)))
         return out
 
-    def _resolve_deref_after(self, loc: Loc, s: Var,
-                             cond: Constraint) -> List[SummaryEntry]:
-        """Fully resolve the term ``*s`` at the state after ``loc``'s
-        statement, through FSCI facts (sound over-approximation)."""
-        if self.fsci is None:
-            return [(UnknownTerm(), cond)]
-        objs: Set[MemObject] = set()
-        for cell in self.fsci.pts_after(loc, s):
-            objs.update(self.fsci.pts_after(loc, cell))
-        return [(AddrTerm(o), cond) for o in objs] or [(UnknownTerm(), cond)]
+    def _deref_after_write(self, loc: Loc, lhs: Var,
+                           value: Term) -> List[_Step]:
+        """The term ``*(value)`` evaluated just after ``lhs = <value>``.
 
-    def _inverse_call(self, stmt: CallStmt, term: Term, cond: Constraint,
-                      requested: Optional[Set[Tuple[str, Term]]]
-                      ) -> List[SummaryEntry]:
-        """Splice callee exit summaries (Algorithm 5 lines 9-18)."""
-        targets = [g for g in stmt.targets if g in self.program.functions]
-        if not targets:
-            return [(term, cond)]
-        out: List[SummaryEntry] = []
-        for g in targets:
-            if self.is_transparent(g):
-                out.append((term, cond))
-                continue
-            key = (g, term)
-            if requested is not None:
-                requested.add(key)
-                entries = self._summaries.setdefault(key, frozenset())
-                if key not in self._done:
-                    # Will be (re)computed by the fixpoint driver; the
-                    # current (possibly empty) value is a monotone
-                    # under-approximation that the driver repairs.
-                    pass
-            else:
-                entries = self.exit_summary(g, term)
-            for w, c in entries:
-                combined = merge(cond, c, self.max_cond_atoms)
-                if combined is not None:
-                    out.append((w, combined))
-        return out
+        The write changed exactly one cell — ``lhs`` — whose content
+        after the statement is ``value`` itself; every other cell's
+        content equals its before-statement content, so the term can
+        continue backward symbolically.  Unrepresentable cases resolve
+        through FSCI (sound: FSCI over-approximates every execution)."""
+        if isinstance(value, AddrTerm):
+            if value.obj == lhs:
+                # s = &s: *s is s's own content = the assigned value.
+                return [(value, ())]
+            return [(ObjTerm(value.obj), ())]
+        if isinstance(value, NullTerm):
+            return []  # *NULL: no defined value flows
+        if isinstance(value, ObjTerm) and isinstance(value.obj, Var):
+            q = value.obj
+            # If q points to the written cell itself, *s is the assigned
+            # value (= q's value); otherwise the cell was untouched and
+            # *q-before-statement is correct.
+            pts_q = self._pts_before(loc, q)
+            if pts_q is None or lhs in pts_q:
+                return [(ObjTerm(q), (points_to_atom(loc, q, lhs, True),)),
+                        (DerefTerm(q), (points_to_atom(loc, q, lhs, False),))]
+            return [(DerefTerm(q), ())]
+        # Coarse fallback: the possible cells after the statement are the
+        # FSCI points-to of lhs there; their contents are FSCI facts too.
+        return [(w, ()) for w in self._contents_after(loc, lhs)]
 
     # ------------------------------------------------------------------
     # FSCI plumbing
@@ -524,45 +723,14 @@ class SummaryEngine:
         # err toward aliasing.
         return bool(pa & pb) or not pa or not pb
 
-    def _deref_after_write(self, loc: Loc, lhs: Var, value: Term,
-                           cond: Constraint) -> List[SummaryEntry]:
-        """The term ``*(value)`` evaluated just after ``lhs = <value>``.
-
-        The write changed exactly one cell — ``lhs`` — whose content
-        after the statement is ``value`` itself; every other cell's
-        content equals its before-statement content, so the term can
-        continue backward symbolically.  Unrepresentable cases resolve
-        through FSCI (sound: FSCI over-approximates every execution)."""
-        if isinstance(value, AddrTerm):
-            if value.obj == lhs:
-                # s = &s: *s is s's own content = the assigned value.
-                return [(value, cond)]
-            return [(ObjTerm(value.obj), cond)]
-        if isinstance(value, NullTerm):
-            return []  # *NULL: no defined value flows
-        if isinstance(value, ObjTerm) and isinstance(value.obj, Var):
-            q = value.obj
-            # If q points to the written cell itself, *s is the assigned
-            # value (= q's value); otherwise the cell was untouched and
-            # *q-before-statement is correct.
-            pts_q = self._pts_before(loc, q)
-            out: List[SummaryEntry] = []
-            if pts_q is None or lhs in pts_q:
-                hit = conjoin(cond, points_to_atom(loc, q, lhs, True),
-                              self.max_cond_atoms)
-                if hit is not None:
-                    out.append((ObjTerm(q), hit))
-                miss = conjoin(cond, points_to_atom(loc, q, lhs, False),
-                               self.max_cond_atoms)
-                if miss is not None:
-                    out.append((DerefTerm(q), miss))
-                return out
-            return [(DerefTerm(q), cond)]
+    def _contents_after(self, loc: Loc, p: Var) -> List[Term]:
+        """The term ``*p`` fully resolved at the state after ``loc``'s
+        statement through FSCI facts (sound over-approximation), in a
+        fixed object order."""
         if self.fsci is None:
-            return [(UnknownTerm(), cond)]
-        # Coarse fallback: the possible cells after the statement are the
-        # FSCI points-to of lhs there; their contents are FSCI facts too.
+            return [UnknownTerm()]
         objs: Set[MemObject] = set()
-        for cell in self.fsci.pts_after(loc, lhs):
+        for cell in self.fsci.pts_after(loc, p):
             objs.update(self.fsci.pts_after(loc, cell))
-        return [(AddrTerm(o), cond) for o in objs] or [(UnknownTerm(), cond)]
+        return [AddrTerm(o) for o in sorted(objs, key=repr)] \
+            or [UnknownTerm()]

@@ -11,6 +11,10 @@ This harness proves the speedup is real and keeps it from rotting:
   stage; per-location abstract states are where masks beat frozensets),
   kernel vs reference, identical iteration counts and points-to
   summaries required.
+* **summaries** — the FSCS summary engine (Algorithms 4–5) on every
+  cluster of the program's bootstrap cascade, kernel vs reference on
+  the same FSCI results, every exit summary compared.  It is not part
+  of **cold**, whose floor covers Andersen and FSCI.
 * **payload** — total serialized bytes of every bootstrap cluster
   payload (interned wire format, version 2).
 
@@ -31,9 +35,18 @@ import sys
 import time
 from typing import Any, Dict, Optional, Sequence
 
-from ..analysis import FSCI, Andersen
-from ..analysis.reference import ReferenceAndersen, ReferenceFSCI
-from ..core import BootstrapAnalyzer, BootstrapConfig, CascadeConfig
+from ..analysis import FSCI, Andersen, ClusterFSCS, ObjTerm, SummaryEngine
+from ..analysis.reference import (
+    ReferenceAndersen,
+    ReferenceFSCI,
+    ReferenceSummaryEngine,
+)
+from ..core import (
+    BootstrapAnalyzer,
+    BootstrapConfig,
+    BootstrapResult,
+    CascadeConfig,
+)
 from ..core.shipping import build_payload
 from ..ir import CallGraph
 from .corpus import PAPER_TABLE1, build
@@ -45,10 +58,47 @@ LARGEST = max(PAPER_TABLE1, key=lambda r: r.pointers).name
 #: The PR's acceptance floor for the cold whole-program solve.
 TARGET_SPEEDUP = 5.0
 
+#: Solver stages, each timed against its reference and gated on
+#: identical results.
+STAGES = ("andersen", "fsci", "summaries")
+
 
 def _payload_bytes(payload: Dict[str, Any]) -> int:
     return len(json.dumps(payload, sort_keys=True,
                           separators=(",", ":")).encode("utf-8"))
+
+
+def _exit_summaries(engine_cls: type, analysis: ClusterFSCS) -> Dict:
+    """Every (function, cluster pointer) exit summary of one cluster."""
+    engine = engine_cls(analysis.program, fsci=analysis.fsci,
+                        relevant=analysis.relevant,
+                        callgraph=analysis.callgraph)
+    return {(func, p): engine.exit_summary(func, ObjTerm(p))
+            for func in sorted(analysis.program.functions)
+            if not engine.is_transparent(func)
+            for p in sorted(analysis.cluster, key=str)}
+
+
+def _summaries_stage(boot: BootstrapResult) -> Dict[str, Any]:
+    """Kernel vs reference summary engine over every cluster, on FSCI
+    results solved beforehand and shared by both."""
+    analyses = [boot.analysis_for(c) for c in boot.clusters]
+    for analysis in analyses:
+        analysis.fsci  # solved here, outside the timed region
+    t_k = t_r = 0.0
+    identical = True
+    for analysis in analyses:
+        t0 = time.perf_counter()
+        kernel = _exit_summaries(SummaryEngine, analysis)
+        t_k += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        reference = _exit_summaries(ReferenceSummaryEngine, analysis)
+        t_r += time.perf_counter() - t0
+        identical = identical and kernel == reference
+    return {"clusters": len(analyses),
+            "kernel_time": t_k, "reference_time": t_r,
+            "speedup": t_r / t_k if t_k else 0.0,
+            "identical": identical}
 
 
 def run_kernel_bench(name: str = LARGEST, scale: float = 0.008,
@@ -110,11 +160,19 @@ def run_kernel_bench(name: str = LARGEST, scale: float = 0.008,
         "target_speedup": TARGET_SPEEDUP,
     }
 
+    config = BootstrapConfig(
+        cascade=CascadeConfig(andersen_threshold=threshold))
+    boot = BootstrapAnalyzer(program, config).run()
+    stages["summaries"] = _summaries_stage(boot)
+    if verbose:
+        s = stages["summaries"]
+        print(f"  summaries: kernel {s['kernel_time']:.2f}s vs reference "
+              f"{s['reference_time']:.2f}s ({s['speedup']:.2f}x over "
+              f"{s['clusters']} clusters, identical={s['identical']})",
+              file=sys.stderr)
+
     payload: Dict[str, Any] = {"skipped": True}
     if not skip_payload:
-        config = BootstrapConfig(
-            cascade=CascadeConfig(andersen_threshold=threshold))
-        boot = BootstrapAnalyzer(program, config).run()
         callgraph = CallGraph(program)
         cache: Dict[Any, Any] = {}
         v2 = sum(_payload_bytes(build_payload(
@@ -144,7 +202,7 @@ def check_gate(current: Dict[str, Any], baseline: Dict[str, Any],
     must still produce results identical to the reference solver.
     """
     failures = []
-    for key in ("andersen", "fsci"):
+    for key in STAGES:
         stage = current["stages"].get(key, {})
         if not stage.get("identical", False):
             failures.append(f"{key}: kernel and reference results differ")
@@ -166,7 +224,7 @@ def check_gate(current: Dict[str, Any], baseline: Dict[str, Any],
 
 def render(data: Dict[str, Any]) -> str:
     rows = []
-    for key in ("andersen", "fsci"):
+    for key in STAGES:
         s = data["stages"][key]
         rows.append([key, f"{s['kernel_time']:.2f}",
                      f"{s['reference_time']:.2f}", f"{s['speedup']:.2f}x",

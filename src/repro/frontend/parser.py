@@ -88,6 +88,15 @@ class Parser:
                              tok.line, tok.column)
         return self.next()
 
+    def skip_to_punct(self, text: str) -> None:
+        """Skip tokens up to, not past, the punctuator ``text``.  Reaching
+        end of input first is a :class:`ParseError` at the EOF token
+        (``next`` never advances past EOF, so a bare loop would spin)."""
+        while not self.peek().is_punct(text):
+            if self.peek().kind == "eof":
+                raise self.error(f"expected {text!r} before end of input")
+            self.next()
+
     def error(self, msg: str) -> ParseError:
         tok = self.peek()
         return ParseError(msg + f" (at {tok.text!r})", tok.line, tok.column)
@@ -243,8 +252,7 @@ class Parser:
             self.next()
         if self.peek().is_punct("{"):
             self.next()
-            while not self.peek().is_punct("}"):
-                self.next()
+            self.skip_to_punct("}")
             self.expect_punct("}")
         return INT
 
@@ -292,8 +300,7 @@ class Parser:
                             size = int(tok.text, 0)
                         except ValueError:
                             size = None
-                    while not self.peek().is_punct("]"):
-                        self.next()
+                    self.skip_to_punct("]")
                 self.expect_punct("]")
                 typ = ArrayType(typ, size)
             elif self.peek().is_punct("("):
@@ -591,8 +598,7 @@ class Parser:
             typ = PointerType(typ)
         while self.peek().is_punct("["):
             self.next()
-            while not self.peek().is_punct("]"):
-                self.next()
+            self.skip_to_punct("]")
             self.expect_punct("]")
             typ = ArrayType(typ)
         return typ

@@ -325,6 +325,9 @@ class TestBenchHarness:
                                 skip_payload=True)
         assert data["stages"]["andersen"]["identical"]
         assert data["stages"]["fsci"]["identical"]
+        summaries = data["stages"]["summaries"]
+        assert summaries["identical"] and summaries["clusters"] > 0
+        assert summaries["kernel_time"] > 0
         assert data["cold"]["kernel_time"] > 0
         assert "payload" in data and data["payload"]["skipped"]
         assert render(data)  # renders without the payload block
@@ -334,6 +337,7 @@ class TestBenchHarness:
             "stages": {
                 "andersen": {"identical": True},
                 "fsci": {"identical": True},
+                "summaries": {"identical": True},
             },
             "cold": {"kernel_time": kernel, "reference_time": reference,
                      "speedup": reference / kernel},
@@ -361,3 +365,10 @@ class TestBenchHarness:
         cur = self._result(1.0, 6.0)
         cur["stages"]["fsci"]["identical"] = False
         assert any("differ" in f for f in check_gate(cur, base))
+
+    def test_gate_fails_on_summaries_divergence(self):
+        base = self._result(1.0, 6.0)
+        cur = self._result(1.0, 6.0)
+        cur["stages"]["summaries"]["identical"] = False
+        assert check_gate(cur, base) == [
+            "summaries: kernel and reference results differ"]

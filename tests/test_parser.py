@@ -1,9 +1,13 @@
 """Parser tests: declarations, statements, expressions."""
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
-from repro.errors import ParseError
-from repro.frontend import parse_source
+from repro.errors import NormalizationError, ParseError
+from repro.frontend import parse_program, parse_source
+from repro.frontend.lexer import tokenize
 from repro.frontend import ast_nodes as A
 from repro.frontend.types import (
     ArrayType,
@@ -322,3 +326,52 @@ class TestErrors:
         with pytest.raises(ParseError) as info:
             parse("void f() {\n x = ;\n}")
         assert info.value.line == 2
+
+
+@contextmanager
+def _deadline(seconds):
+    """Turn a hang into a failure: raise in the main thread after
+    ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds}s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+#: Uses every construct whose body the parser skips token by token: an
+#: enum body, array declarators and an abstract declarator in sizeof.
+_SKIPPING = ("enum color { RED, GREEN, BLUE }; int table[4]; "
+             "int main(void) { int buf[8]; int n; n = sizeof(int[2]); "
+             "return 0; }")
+
+
+class TestEndOfInput:
+    """Input that ends inside a skipped construct is a ParseError with a
+    location, never a spin at EOF."""
+
+    @pytest.mark.parametrize("source", [
+        "int a[3",
+        "int f(void) { int a[2",
+        "int f(void) { int x; x = sizeof(int[2",
+        "enum e { A, B",
+    ])
+    def test_unterminated_construct(self, source):
+        with _deadline(5), pytest.raises(ParseError) as info:
+            parse_program(source)
+        assert info.value.line == 1 and info.value.column > 0
+
+    def test_every_token_prefix_parses_or_fails_cleanly(self):
+        tokens = tokenize(_SKIPPING)[:-1]  # not the eof token
+        assert len(tokens) == 45
+        for tok in tokens:
+            prefix = _SKIPPING[:tok.column - 1]
+            with _deadline(5):
+                try:
+                    parse_program(prefix)
+                except (ParseError, NormalizationError):
+                    pass
