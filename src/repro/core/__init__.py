@@ -45,7 +45,6 @@ from .resilience import (
     validate_outcome,
 )
 from .shipping import (
-    analyze_payload,
     build_payload,
     cluster_fingerprints,
     cluster_outcome,
@@ -87,7 +86,7 @@ __all__ = [
     "validate_outcome",
     "ParallelRunner", "Partitioning", "PartitionStats", "RelevantSlice",
     "SummaryCache",
-    "TraceStep", "analyze_payload",
+    "TraceStep",
     "andersen_refine", "build_payload", "cluster_cost",
     "cluster_fingerprints", "cluster_outcome",
     "cluster_subprogram", "demand_alias_sets", "greedy_parts", "lpt_parts",

@@ -30,6 +30,7 @@ from .clusters import Cluster
 from .faults import FaultSpec, attach_faults, corrupt_outcome, fire_faults
 from .parallel import ParallelReport, ParallelRunner
 from .resilience import (
+    DEFAULT_POLICY,
     ClusterExecutionError,
     RunPolicy,
     coarsest,
@@ -37,7 +38,7 @@ from .resilience import (
     is_degraded,
     validate_outcome,
 )
-from .shipping import build_payload, cluster_fingerprints, cluster_outcome
+from .shipping import cluster_fingerprints, cluster_outcome
 from .summary_cache import SummaryCache
 
 
@@ -75,8 +76,11 @@ class BootstrapResult:
     def clusters(self) -> List[Cluster]:
         return self.cascade.clusters
 
-    def analysis_for(self, cluster: Cluster) -> ClusterFSCS:
-        """The (cached) FSCS analysis of one cluster."""
+    def analysis_for(self, cluster: Cluster,
+                     deadline: Optional[float] = None) -> ClusterFSCS:
+        """The (cached) FSCS analysis of one cluster.  ``deadline``
+        (absolute ``time.monotonic``) bounds the FSCI and summary work
+        of an analysis built by this call; see :meth:`_solve`."""
         key = id(cluster)
         analysis = self._analyses.get(key)
         if analysis is None:
@@ -92,7 +96,7 @@ class BootstrapResult:
                     probe = ClusterFSCS(
                         self.program, cluster=(),
                         tracked=parent.vp, relevant=parent.statements,
-                        callgraph=self.callgraph)
+                        callgraph=self.callgraph, deadline=deadline)
                     fsci = probe.fsci
                     self._fsci_cache[cache_key] = fsci
             analysis = ClusterFSCS(
@@ -104,6 +108,7 @@ class BootstrapResult:
                 fsci=fsci,
                 max_cond_atoms=self.config.max_cond_atoms,
                 budget=self.config.fscs_budget,
+                deadline=deadline,
             )
             self._analyses[key] = analysis
         return analysis
@@ -195,29 +200,30 @@ class BootstrapResult:
         ``status``/``precision`` tags and are *not* written to the
         cache).  ``faults`` injects deterministic failures
         (:class:`~repro.core.faults.FaultSpec`) for testing the
-        resilience path; faulted payloads keep their clean fingerprints.
+        resilience path; faulted clusters keep their clean fingerprints.
         """
         targets = list(clusters) if clusters is not None else self.clusters
         cache_obj = SummaryCache(cache) if isinstance(cache, str) else cache
         parts = self.config.parts
         if backend == "processes" and jobs is not None:
             parts = jobs  # one worker per part
+        runner: ParallelRunner[Dict] = ParallelRunner(
+            parts=parts, backend=backend, scheduler=scheduler, jobs=jobs)
 
         # Fingerprints are only made when something consumes them: the
-        # cache, the processes backend, or fault injection (selectors
-        # match on fingerprints).  A cache that remembers content keys
-        # (ClusterStore.content_keys) lets unchanged clusters skip their
-        # payload; payloads are otherwise built only for the clusters
-        # that run and ship or can be fault-stamped.
-        payloads: Dict[int, Dict[str, Any]] = {}
+        # cache, or fault injection (selectors match on fingerprints).
+        # A cache that remembers content keys (ClusterStore.content_keys)
+        # lets unchanged clusters skip their payload.
+        encoded: List[int] = []
         fingerprints = None
-        if backend == "processes" or cache_obj is not None or faults:
+        if cache_obj is not None or faults:
             fingerprints = cluster_fingerprints(
                 self.program, targets, self.callgraph,
                 max_cond_atoms=self.config.max_cond_atoms,
                 budget=self.config.fscs_budget,
                 known=getattr(cache_obj, "content_keys", None),
-                payloads=payloads)
+                encoded=encoded)
+        stamps = attach_faults(fingerprints, faults) if faults else {}
 
         cached: Dict[int, Dict] = {}
         if cache_obj is not None:
@@ -226,33 +232,22 @@ class BootstrapResult:
                 if outcome is not None:
                     cached[i] = outcome
         pending = [i for i in range(len(targets)) if i not in cached]
-        if backend == "processes" or faults:
-            # Pending clusters whose keys were known (their outcomes
-            # were evicted) still need a payload to ship or stamp.
-            subcache: Dict[int, Any] = {}
-            for i in pending:
-                if i not in payloads:
-                    payloads[i] = build_payload(
-                        self.program, targets[i], self.callgraph,
-                        max_cond_atoms=self.config.max_cond_atoms,
-                        budget=self.config.fscs_budget,
-                        subprogram_cache=subcache)
-            if faults:
-                attach_faults(payloads, fingerprints, faults)
 
-        runner: ParallelRunner[Dict] = ParallelRunner(
-            parts=parts, backend=backend, scheduler=scheduler, jobs=jobs)
-        attempts_map: Dict[int, int] = {}
         if pending:
             sub = [targets[i] for i in pending]
+            pol = policy or DEFAULT_POLICY
             if backend == "processes":
                 report = runner.run_payloads(
-                    [payloads[i] for i in pending], sub, policy=policy)
+                    sub,
+                    lambda j: self._attempt(sub[j], pol,
+                                            stamps.get(pending[j])),
+                    lambda j, error, attempts: self._degrade(
+                        sub[j], pol, error, attempts),
+                    policy=pol)
             elif policy is not None or faults:
-                task = self._resilient_task(
-                    targets, payloads, policy or RunPolicy(degrade=False),
-                    attempts_map)
-                report = runner.run(sub, task)
+                attempts_map: Dict[int, int] = {}
+                report = runner.run(sub, self._resilient_task(
+                    targets, stamps, pol, attempts_map))
                 # attempts_map is keyed by full-target index; a report
                 # keys by position in the batch that actually ran (the
                 # merge below maps those back through ``pending``).
@@ -260,8 +255,7 @@ class BootstrapResult:
                 report.attempts = {sub_pos[i]: n
                                    for i, n in attempts_map.items()}
             else:
-                report = runner.run(
-                    sub, lambda c: cluster_outcome(self.analysis_for(c)))
+                report = runner.run(sub, lambda c: self._solve(c, None))
         else:
             report = ParallelReport(part_times=[], cluster_times={},
                                     results=[], backend=backend,
@@ -270,7 +264,7 @@ class BootstrapResult:
             # Fast path: nothing came from the cache, indices align.
             report.cache_misses = len(pending) if cache_obj is not None else 0
             report.fingerprints = fingerprints
-            report.encoded = len(payloads)
+            report.encoded = len(encoded)
             if cache_obj is not None:
                 for i in pending:
                     # Degraded outcomes are coarser than what a healthy
@@ -302,26 +296,60 @@ class BootstrapResult:
             schedule=schedule, wall_time=report.wall_time,
             cache_hits=len(cached), cache_misses=len(pending),
             fingerprints=fingerprints, attempts=attempts,
-            encoded=len(payloads))
+            encoded=len(encoded))
 
     # ------------------------------------------------------------------
     # resilience plumbing
     # ------------------------------------------------------------------
+    def _solve(self, cluster: Cluster,
+               deadline: Optional[float]) -> Dict[str, Any]:
+        """:func:`cluster_outcome` of ``cluster`` under ``deadline``.  A
+        solve that raises leaves no half-built analysis in the memo; one
+        that finishes stays memoized with its deadline lifted, so later
+        queries (which extend its summaries lazily) run unbounded."""
+        analysis = self.analysis_for(cluster, deadline=deadline)
+        try:
+            outcome = cluster_outcome(analysis)
+        except BaseException:
+            self._analyses.pop(id(cluster), None)
+            raise
+        analysis.engine.deadline = None
+        return outcome
+
+    def _attempt(self, cluster: Cluster, policy: RunPolicy,
+                 stamp: Optional[Dict[str, Any]],
+                 in_process: bool = False) -> Dict[str, Any]:
+        """One try at one cluster, the same on both backends: fire its
+        injected faults (``in_process`` softens crashes and hangs into
+        exceptions), then solve it under the policy's deadline."""
+        corrupt = bool(stamp) and fire_faults(stamp, in_process=in_process)
+        outcome = self._solve(cluster, policy.deadline())
+        return corrupt_outcome() if corrupt else outcome
+
+    def _degrade(self, cluster: Cluster, policy: RunPolicy, error: str,
+                 attempts: int) -> Dict[str, Any]:
+        """The degradation ladder for a cluster that failed, run in this
+        process on the whole program with the cascade's Steensgaard
+        result and a fresh ``cluster_timeout``."""
+        return degrade_ladder(
+            self.program, cluster, steens=self.cascade.steensgaard,
+            callgraph=self.callgraph, error=error, attempts=attempts,
+            deadline=policy.deadline())
+
     def _resilient_task(self, targets: Sequence[Cluster],
-                        payloads: Dict[int, Dict[str, Any]],
+                        stamps: Dict[int, Dict[str, Any]],
                         policy: RunPolicy,
                         attempts_map: Dict[int, int]):
-        """The in-process (simulate) analogue of the resilient
-        worker path: fire injected faults, retry with backoff, validate,
-        and degrade down the cascade on persistent failure.  Reuses the
-        already-computed Steensgaard result for the coarsest rung."""
+        """The simulate backend's retry loop around :meth:`_attempt`:
+        retry with backoff, validate, and degrade on persistent failure.
+        ``stamps`` and ``attempts_map`` are keyed by index in
+        ``targets``."""
         index_of = {}
         for i, c in enumerate(targets):
             index_of.setdefault(id(c), i)
 
         def task(c: Cluster) -> Dict[str, Any]:
             i = index_of[id(c)]
-            payload = payloads.get(i)
             names = [str(p) for p in c.pointer_members]
             error = "unknown failure"
             for attempt in range(1, policy.retries + 2):
@@ -329,15 +357,8 @@ class BootstrapResult:
                 if attempt > 1:
                     time.sleep(policy.delay(attempt, key=str(i)))
                 try:
-                    corrupt = False
-                    if payload is not None and payload.get("faults"):
-                        corrupt = fire_faults(payload, in_process=True)
-                    outcome = corrupt_outcome() if corrupt \
-                        else cluster_outcome(self.analysis_for(c))
-                    if not validate_outcome(outcome, names):
-                        error = "invalid outcome (corrupted result)"
-                        continue
-                    return outcome
+                    outcome = self._attempt(c, policy, stamps.get(i),
+                                            in_process=True)
                 except AnalysisBudgetExceeded as exc:
                     if not policy.degrade:
                         raise
@@ -346,12 +367,12 @@ class BootstrapResult:
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
                     continue
+                if validate_outcome(outcome, names):
+                    return outcome
+                error = "invalid outcome (corrupted result)"
             if not policy.degrade:
                 raise ClusterExecutionError(i, error)
-            return degrade_ladder(
-                self.program, c, steens=self.cascade.steensgaard,
-                callgraph=self.callgraph, error=error,
-                attempts=attempts_map[i])
+            return self._degrade(c, policy, error, attempts_map[i])
 
         return task
 

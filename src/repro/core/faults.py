@@ -7,13 +7,13 @@ testable if faults can be produced *on demand and deterministically*, so
 this module injects them:
 
 * a :class:`FaultSpec` names a fault kind and selects clusters by
-  payload fingerprint (a prefix), by schedule index (``#3``) or
+  payload fingerprint (a prefix), by cluster index (``#3``) or
   unconditionally (``*``);
-* :func:`attach_faults` stamps matching payloads with a JSON-safe
-  ``"faults"`` entry — the flag travels inside the payload, so it
-  crosses the process boundary to the worker with no side channel;
-* :func:`fire_faults` executes the stamped faults at the start of a
-  cluster's analysis, in a worker (real ``os._exit`` crashes, real
+* :func:`attach_faults` maps each matching cluster index to a *stamp*
+  (its faults and its fingerprint), made in the parent before the run;
+  forked workers inherit the stamps with the rest of the run's task;
+* :func:`fire_faults` executes a stamp's faults at the start of a
+  cluster's attempt, in a worker (real ``os._exit`` crashes, real
   sleeps) or in process (both map to raised exceptions, since a hard
   crash would take the test runner down with it).
 
@@ -36,9 +36,8 @@ Fault kinds
     attempt memory is a marker file under ``token_dir``, so the fault
     stays deterministic across pool replacements.
 
-The ``"faults"`` payload entry is ignored by
-:func:`~repro.core.shipping.payload_fingerprint`, so injecting a fault
-never changes a cluster's cache identity.
+Stamps live beside the payloads, never inside them, so injecting a
+fault never changes a cluster's cache identity.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 #: The supported fault kinds.
 FAULT_KINDS = ("crash", "hang", "corrupt", "flaky-once")
@@ -61,7 +60,7 @@ class FaultSpec:
     """One injected fault: what goes wrong, and for which clusters.
 
     ``match`` selects clusters: ``"*"`` matches every cluster, ``"#N"``
-    matches the cluster at index ``N`` of the payload list, anything
+    matches the cluster at index ``N`` of the analyzed list, anything
     else matches fingerprints by prefix.  ``duration`` only matters for
     ``hang``; ``token_dir`` only for ``flaky-once`` (defaults to the
     system temp dir).
@@ -119,26 +118,18 @@ def parse_fault_arg(text: str) -> FaultSpec:
     return FaultSpec(kind=kind, match=match, duration=duration)
 
 
-def attach_faults(payloads: Mapping[int, Dict[str, Any]],
-                  fingerprints: Sequence[str],
-                  specs: Iterable[FaultSpec]) -> List[int]:
-    """Stamp each matching payload (keyed by cluster index) with its
-    faults; returns the indices of the payloads that were stamped.
-
-    Stamping happens *after* fingerprints are computed, and the
-    fingerprint function ignores the ``"faults"`` key anyway, so the
-    cache identity of a faulted cluster never changes.
-    """
-    stamped: List[int] = []
+def attach_faults(fingerprints: Sequence[str],
+                  specs: Iterable[FaultSpec]) -> Dict[int, Dict[str, Any]]:
+    """The stamp of every cluster (by index) that a spec selects: its
+    faults as JSON-safe dicts and the fingerprint they matched against
+    (the ``flaky-once`` token is named after it)."""
+    stamps: Dict[int, Dict[str, Any]] = {}
     specs = list(specs)
-    for i, payload in sorted(payloads.items()):
-        fp = fingerprints[i]
+    for i, fp in enumerate(fingerprints):
         matched = [s.to_dict() for s in specs if s.matches(fp, i)]
         if matched:
-            payload["faults"] = matched
-            payload["fault_fingerprint"] = fp
-            stamped.append(i)
-    return stamped
+            stamps[i] = {"faults": matched, "fingerprint": fp}
+    return stamps
 
 
 def _flaky_token(spec: Dict[str, Any], fingerprint: str) -> str:
@@ -147,8 +138,8 @@ def _flaky_token(spec: Dict[str, Any], fingerprint: str) -> str:
     return os.path.join(root, f"repro-flaky-{fingerprint[:32]}.token")
 
 
-def fire_faults(payload: Dict[str, Any], in_process: bool = False) -> bool:
-    """Execute the faults stamped on ``payload`` (no-op when none).
+def fire_faults(stamp: Dict[str, Any], in_process: bool = False) -> bool:
+    """Execute the faults of one cluster's ``stamp`` (no-op when none).
 
     Returns ``True`` when the cluster's outcome should be corrupted
     after the analysis runs (the ``corrupt`` kind); raises, sleeps or
@@ -157,8 +148,8 @@ def fire_faults(payload: Dict[str, Any], in_process: bool = False) -> bool:
     exercise the same recovery path without killing the host.
     """
     corrupt = False
-    fingerprint = payload.get("fault_fingerprint", "")
-    for spec in payload.get("faults", ()):
+    fingerprint = stamp.get("fingerprint", "")
+    for spec in stamp.get("faults", ()):
         kind = spec.get("kind")
         if kind == "corrupt":
             corrupt = True

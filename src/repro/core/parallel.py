@@ -12,10 +12,11 @@ This module additionally provides a real execution backend behind one
 
 * ``simulate`` — the paper's setup: run sequentially, account time per
   scheduled part;
-* ``processes`` — a ``ProcessPoolExecutor``: each part's clusters are
-  shipped to a worker as sliced sub-programs
-  (:mod:`~repro.core.shipping`) and analyzed there, which is the real
-  multi-core execution the paper's Table 1 "5 machines" column
+* ``processes`` — a ``ProcessPoolExecutor`` forked after the cascade:
+  the workers inherit the analyzed program, its clusters and the
+  per-cluster task, each scheduled part travels as a list of cluster
+  indices, and only ``(cpu seconds, outcome)`` pairs come back — the
+  real multi-core execution the paper's Table 1 "5 machines" column
   simulates.
 
 and a second scheduler: :func:`lpt_parts` assigns clusters
@@ -28,6 +29,7 @@ maximum part cost is never worse than the paper's heuristic.
 from __future__ import annotations
 
 import heapq
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -41,11 +43,22 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     TypeVar,
 )
 
 from .clusters import Cluster
+from .resilience import (
+    DEFAULT_POLICY,
+    CircuitBreaker,
+    ClusterExecutionError,
+    RunPolicy,
+    error_marker,
+    is_error_marker,
+    raise_marker,
+    validate_outcome,
+)
 
 T = TypeVar("T")
 
@@ -183,15 +196,15 @@ class ParallelReport:
     cache_hits: int = 0
     cache_misses: int = 0
     #: Payload fingerprints per cluster (input order), when the run made
-    #: them (processes backend, any cache, or faults) — the invalidation
+    #: them (a summary cache, or faults to select by) — the invalidation
     #: hook the query daemon diffs across reloads.
     fingerprints: Optional[List[str]] = None
     #: Analysis attempts per cluster index; only clusters the resilience
     #: layer touched more than once (or failed) appear with values > 1.
     attempts: Dict[int, int] = field(default_factory=dict)
-    #: Payloads built for this run (``build_payload`` calls): every
-    #: cluster's without a content-key map, only new or shipped ones
-    #: with one.
+    #: Payloads built for this run's fingerprints (``build_payload``
+    #: calls): every cluster's without a content-key map, only those
+    #: with new content with one.
     encoded: int = 0
 
     @property
@@ -233,12 +246,41 @@ class ParallelReport:
         return [self.cluster_precision(i) for i in range(len(self.results))]
 
 
+#: The per-cluster task of the run a pool worker was forked for.  Set
+#: only inside workers (by :func:`_init_worker`); the parent never
+#: holds one, so nothing survives into the next program's run.
+_WORKER_TASK: Optional[Callable[[int], object]] = None
+
+
+def _init_worker(task: Callable[[int], object]) -> None:
+    """Pool initializer.  Under ``fork`` the initializer's arguments
+    reach the child by inheritance and are never pickled, so ``task``
+    may close over the whole analyzed program."""
+    global _WORKER_TASK
+    _WORKER_TASK = task
+
+
+def _run_indices(indices: Sequence[int]) -> List[Tuple[float, object]]:
+    """Worker entry: run the inherited task on each cluster index,
+    CPU-timed; a failing cluster yields an error marker instead of
+    poisoning the rest of its part."""
+    out: List[Tuple[float, object]] = []
+    for idx in indices:
+        t0 = time.process_time()
+        try:
+            outcome = _WORKER_TASK(idx)
+        except Exception as exc:
+            outcome = error_marker(exc)
+        out.append((time.process_time() - t0, outcome))
+    return out
+
+
 class ParallelRunner(Generic[T]):
     """Run one task per cluster, aggregating times per scheduled part.
 
     ``backend`` selects execution: ``"simulate"`` (the paper's setup —
     sequential, time *accounted* per part) or ``"processes"`` (real
-    multiprocess execution; requires per-cluster payloads, see
+    multiprocess execution on forked workers, see
     :meth:`run_payloads`).  ``jobs`` caps worker count (defaults to
     ``parts``).
     """
@@ -249,6 +291,12 @@ class ParallelRunner(Generic[T]):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r} "
                              f"(have: {', '.join(BACKENDS)})")
+        if backend == "processes" \
+                and "fork" not in multiprocessing.get_all_start_methods():
+            raise ValueError(
+                "the processes backend needs the 'fork' start method "
+                "(its workers inherit the analyzed program), which this "
+                "platform lacks; use backend='simulate'")
         self.parts = parts
         self.backend = backend
         self.scheduler = scheduler
@@ -258,12 +306,11 @@ class ParallelRunner(Generic[T]):
     def run(self, clusters: Sequence[Cluster],
             task: Callable[[Cluster], T]) -> ParallelReport:
         """Execute ``task`` per cluster under the ``simulate`` backend
-        (in-process callables cannot cross a process boundary; use
-        :meth:`run_payloads` for ``processes``)."""
+        (use :meth:`run_payloads` for ``processes``)."""
         if self.backend == "processes":
             raise ValueError(
-                "the processes backend ships serialized payloads, not "
-                "callables; use ParallelRunner.run_payloads or "
+                "the processes backend runs a task per cluster index in "
+                "forked workers; use ParallelRunner.run_payloads or "
                 "BootstrapResult.analyze_all(backend='processes')")
         t0 = time.perf_counter()
         schedule = schedule_indices(clusters, self.parts, self.scheduler)
@@ -303,38 +350,30 @@ class ParallelRunner(Generic[T]):
                     pass
         pool.shutdown(wait=False, cancel_futures=True)
 
-    def run_payloads(self, payloads: Sequence[Dict[str, Any]],
-                     clusters: Sequence[Cluster],
-                     policy: "Optional[object]" = None) -> ParallelReport:
-        """Execute the ``processes`` backend: each scheduled part's
-        payloads go to one ``ProcessPoolExecutor`` worker, which rebuilds
-        the sliced sub-programs and returns per-cluster outcomes.
+    def run_payloads(self, clusters: Sequence[Cluster],
+                     task: Callable[[int], object],
+                     degrade: Callable[[int, str, int], object],
+                     policy: Optional[RunPolicy] = None) -> ParallelReport:
+        """Execute the ``processes`` backend: fork one pool whose workers
+        inherit ``task`` (and with it the analyzed program), send each
+        scheduled part's cluster *indices* to a worker, which runs
+        ``task(index)`` per cluster, and collect ``(cpu seconds,
+        outcome)`` pairs.  ``degrade(index, error, attempts)`` runs in
+        this process for clusters that still fail.
 
         Execution is fault-isolated per cluster under ``policy`` (a
         :class:`~repro.core.resilience.RunPolicy`; a conservative default
         applies when omitted): every future is awaited with a deadline, a
         crashed or hung pool is replaced and only the *failed* clusters
         are re-submitted (bounded retries with backoff, gated by the
-        circuit breaker), and clusters that still fail either degrade
-        down the bootstrap cascade (``policy.degrade``) or raise a
-        structured :class:`~repro.core.resilience.ClusterExecutionError`.
-        Nothing blocks forever, and one poison cluster no longer takes
-        the run down with it.
+        circuit breaker; deterministic failures such as a blown budget
+        are not retried), and clusters that still fail either degrade
+        (``policy.degrade``) or raise a structured
+        :class:`~repro.core.resilience.ClusterExecutionError`.  Nothing
+        blocks forever, and one poison cluster no longer takes the run
+        down with it.
         """
-        from .resilience import (
-            DEFAULT_POLICY,
-            CircuitBreaker,
-            ClusterExecutionError,
-            RunPolicy,
-            degrade_payload,
-            is_degraded,
-            is_error_marker,
-            raise_marker,
-            run_resilient_batch,
-            run_resilient_single,
-            validate_outcome,
-        )
-        pol: RunPolicy = policy if policy is not None else DEFAULT_POLICY  # type: ignore[assignment]
+        pol = policy if policy is not None else DEFAULT_POLICY
         t0 = time.perf_counter()
         schedule = schedule_indices(clusters, self.parts, self.scheduler)
         cluster_times: Dict[int, float] = {}
@@ -342,12 +381,19 @@ class ParallelRunner(Generic[T]):
         part_times: List[float] = [0.0] * len(schedule)
         attempts: Dict[int, int] = {}
         failed: Dict[int, str] = {}
+        final: Set[int] = set()  # failed deterministically: no retry
         workers = max(1, min(self.jobs, len(schedule)))
-        # The resilience config rides inside the payload (it must cross
-        # the process boundary); fingerprints ignore it, and they were
-        # computed before this call anyway.
-        for payload in payloads:
-            payload["resilience"] = pol.payload_config()
+
+        def fork_pool() -> ProcessPoolExecutor:
+            # Pinned to ``fork``: only a forked worker inherits ``task``
+            # (under ``spawn`` or ``forkserver``, Python 3.14's Linux
+            # default, nothing is).  Forking from the threaded daemon is
+            # safe because nothing a worker runs takes a lock another
+            # thread could hold at the fork.
+            return ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker, initargs=(task,))
 
         def member_names(idx: int) -> List[str]:
             return [str(p) for p in clusters[idx].pointer_members]
@@ -356,12 +402,13 @@ class ParallelRunner(Generic[T]):
             """Record a worker response; False means the cluster failed."""
             if is_error_marker(outcome):
                 marker: Dict[str, Any] = outcome  # type: ignore[assignment]
-                if not marker.get("retryable", True) and not pol.degrade:
-                    raise_marker(marker, idx)
+                if not marker.get("retryable", True):
+                    if not pol.degrade:
+                        raise_marker(marker, idx)
+                    final.add(idx)
                 failed[idx] = marker["__cluster_error__"]
                 return False
-            if not (is_degraded(outcome)
-                    or validate_outcome(outcome, member_names(idx))):
+            if not validate_outcome(outcome, member_names(idx)):
                 failed[idx] = "invalid outcome (corrupted result)"
                 return False
             failed.pop(idx, None)
@@ -369,17 +416,13 @@ class ParallelRunner(Generic[T]):
             results[idx] = outcome
             return True
 
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = fork_pool()
         pool_sick = False
         try:
             # Phase 1: one batched future per scheduled part, each
             # awaited with a deadline so a hang fails the part instead
             # of the whole run.
-            futures = [
-                pool.submit(run_resilient_batch,
-                            [payloads[i] for i in part])
-                for part in schedule
-            ]
+            futures = [pool.submit(_run_indices, part) for part in schedule]
             for part_no, (part, future) in enumerate(zip(schedule, futures)):
                 for idx in part:
                     attempts[idx] = 1
@@ -409,53 +452,49 @@ class ParallelRunner(Generic[T]):
             # part-level failure (one hang/crash fails the whole batch)
             # is re-tried cluster-by-cluster, so innocent neighbors of a
             # poison cluster recover here on their first retry.
-            if failed and pol.retries > 0:
+            retry = sorted(set(failed) - final)
+            if retry and pol.retries > 0:
                 if pool_sick:
                     self._retire_pool(pool, kill=True)
-                    pool = ProcessPoolExecutor(max_workers=workers)
+                    pool = fork_pool()
                     pool_sick = False
                 breaker = CircuitBreaker(pol.max_consecutive_failures)
-                for idx in sorted(failed):
+                for idx in retry:
                     for attempt in range(2, pol.retries + 2):
                         if breaker.is_open:
                             break
                         time.sleep(pol.delay(attempt, key=str(idx)))
                         attempts[idx] = attempt
                         try:
-                            single = pool.submit(run_resilient_single,
-                                                 payloads[idx])
-                            elapsed, outcome = single.result(
+                            single = pool.submit(_run_indices, [idx])
+                            ((elapsed, outcome),) = single.result(
                                 timeout=pol.future_timeout(1))
                         except (FutureTimeoutError, BrokenProcessPool) as exc:
                             failed[idx] = f"retry {attempt}: " \
                                           f"{type(exc).__name__}"
                             breaker.record_failure()
                             self._retire_pool(pool, kill=True)
-                            pool = ProcessPoolExecutor(max_workers=workers)
+                            pool = fork_pool()
                             continue
                         if accept(idx, elapsed, outcome):
                             breaker.record_success()
                             break
                         breaker.record_failure()
-                        if is_error_marker(outcome) \
-                                and not outcome.get("retryable", True):
+                        if idx in final:
                             break  # deterministic failure; stop early
 
-            # Phase 3: whatever still failed degrades down the cascade
-            # (parent-side, from the shipped payload) — or, with
-            # degradation disabled, surfaces as a structured error.
+            # Phase 3: whatever still failed degrades in this process —
+            # or, with degradation disabled, surfaces as a structured
+            # error.
             if failed:
                 if not pol.degrade:
                     first = sorted(failed)[0]
                     raise ClusterExecutionError(first, failed[first])
                 for idx in sorted(failed):
                     t1 = time.perf_counter()
-                    outcome = degrade_payload(
-                        payloads[idx], error=failed[idx],
-                        attempts=attempts.get(idx, 1),
-                        cluster_timeout=pol.cluster_timeout)
+                    results[idx] = degrade(idx, failed[idx],
+                                           attempts.get(idx, 1))
                     cluster_times[idx] = time.perf_counter() - t1
-                    results[idx] = outcome
                 failed.clear()
         finally:
             self._retire_pool(pool, kill=pool_sick)

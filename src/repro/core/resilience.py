@@ -12,7 +12,7 @@ cluster is still sound.  This module turns that observation into an
 execution policy:
 
 * :class:`RunPolicy` — per-cluster wall-clock timeout (enforced inside
-  the worker via the analysis deadline *and* at the future), bounded
+  the solve via the analysis deadline *and* at the future), bounded
   retries with exponential backoff and deterministic jitter, and a
   max-consecutive-failure circuit breaker that stops retrying when the
   pool itself is sick;
@@ -23,10 +23,10 @@ execution policy:
   precision level actually achieved so every downstream consumer
   (reports, diagnostics, the daemon) can say "this fact is real but
   coarse";
-* picklable worker entry points (:func:`run_resilient_single`,
-  :func:`run_resilient_batch`) that fire injected faults
-  (:mod:`repro.core.faults`), honor the in-worker deadline, and convert
-  exceptions into *markers* instead of poisoning the whole batch.
+* error *markers* (:func:`error_marker`): the picklable stand-in a
+  forked worker (:mod:`repro.core.parallel`) returns for a cluster whose
+  attempt raised, so one failure does not poison its whole part; the
+  parent re-raises (:func:`raise_marker`), retries or degrades.
 
 Degraded outcomes keep the exact shape of clean ones
 (``{"stats", "points_to"}``) plus ``status``/``precision``/``error``/
@@ -42,7 +42,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..analysis.andersen import Andersen
 from ..analysis.cutshortcut import CutShortcutTransform
@@ -57,11 +57,6 @@ from .clusters import Cluster
 #: degraded outcome carries one of the other five.
 PRECISION_LEVELS = ("fscs", "fsci", "cutshortcut", "andersen",
                     "steensgaard_fs", "steensgaard")
-
-#: Payload keys that describe *how* to execute, not *what* to analyze —
-#: excluded from fingerprints so injecting a fault or tuning a timeout
-#: never changes a cluster's cache identity.
-EXECUTION_KEYS = frozenset({"faults", "fault_fingerprint", "resilience"})
 
 _ERROR_KEY = "__cluster_error__"
 
@@ -95,8 +90,9 @@ class RunPolicy:
     """How hard to try, how long to wait, and whether to degrade.
 
     ``cluster_timeout`` is the per-cluster wall-clock budget; it becomes
-    the analysis deadline inside the worker (catching livelocks the
-    worker can observe) *and* bounds ``future.result`` in the parent
+    the analysis deadline of every attempt, on either backend (catching
+    livelocks the solver can observe), a fresh deadline for the
+    degradation ladder, *and* bounds ``future.result`` in the parent
     (catching hard hangs it cannot).  ``retries`` counts re-submissions
     after the first attempt.  Backoff between attempts is exponential
     with deterministic jitter — :meth:`delay` hashes the retry key, so
@@ -138,10 +134,13 @@ class RunPolicy:
             return self.hard_timeout
         return 2.0 * self.cluster_timeout * max(1, count) + self.grace
 
-    def payload_config(self) -> Dict[str, Any]:
-        """The JSON-safe slice of the policy a worker needs."""
-        return {"cluster_timeout": self.cluster_timeout,
-                "degrade": self.degrade}
+    def deadline(self) -> Optional[float]:
+        """An absolute ``time.monotonic()`` deadline ``cluster_timeout``
+        from now (``None`` when unset): one per solve attempt, and one
+        for the degradation ladder."""
+        if self.cluster_timeout is None:
+            return None
+        return time.monotonic() + self.cluster_timeout
 
 
 #: The policy applied when none is given: no per-cluster timeout (just
@@ -405,73 +404,3 @@ def degrade_ladder(program: Program, cluster: Cluster,
     return degraded_outcome(program, cluster, rungs[-1], steens=steens,
                             callgraph=callgraph, error=error,
                             attempts=attempts, deadline=deadline)
-
-
-def degrade_payload(payload: Dict[str, Any], error: str = "",
-                    attempts: int = 1,
-                    cluster_timeout: Optional[float] = None
-                    ) -> Dict[str, Any]:
-    """Degrade a shipped cluster from its payload alone (worker- or
-    parent-side).  The sliced sub-program is observationally identical
-    to the full program for this cluster (Theorem 6), so the rungs'
-    answers match what in-process degradation would produce."""
-    from .shipping import payload_cluster, payload_program
-    program = payload_program(payload)
-    cluster = payload_cluster(payload)
-    deadline = (time.monotonic() + cluster_timeout
-                if cluster_timeout is not None else None)
-    return degrade_ladder(program, cluster, error=error, attempts=attempts,
-                          deadline=deadline)
-
-
-# ----------------------------------------------------------------------
-# worker entry points (module-level, hence picklable)
-# ----------------------------------------------------------------------
-
-def _resilient_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Analyze one shipped cluster under its payload's resilience
-    config; exceptions become markers, deadline overruns degrade in the
-    worker when the policy allows (cheaper than a parent-side round
-    trip through a fresh worker)."""
-    from . import shipping
-    from .faults import corrupt_outcome, fire_faults
-    conf = payload.get("resilience") or {}
-    try:
-        corrupt = fire_faults(payload)
-        deadline = None
-        timeout = conf.get("cluster_timeout")
-        if timeout is not None:
-            deadline = time.monotonic() + float(timeout)
-        outcome = shipping.analyze_payload(payload, deadline=deadline)
-        if corrupt:
-            return corrupt_outcome()
-        return outcome
-    except AnalysisBudgetExceeded as exc:
-        if conf.get("degrade"):
-            try:
-                return degrade_payload(payload, error=str(exc),
-                                       cluster_timeout=timeout)
-            except Exception as inner:  # degrade in the parent instead
-                return error_marker(inner)
-        return error_marker(exc)
-    except Exception as exc:
-        return error_marker(exc)
-
-
-def run_resilient_single(payload: Dict[str, Any]
-                         ) -> Tuple[float, Dict[str, Any]]:
-    """Worker entry for retries: one cluster, CPU-timed."""
-    t0 = time.process_time()
-    outcome = _resilient_payload(payload)
-    return (time.process_time() - t0, outcome)
-
-
-def run_resilient_batch(payloads: Sequence[Dict[str, Any]]
-                        ) -> List[Tuple[float, Dict[str, Any]]]:
-    """Worker entry for scheduled parts: each cluster CPU-timed, and one
-    failing cluster yields a marker instead of poisoning its whole
-    part."""
-    out: List[Tuple[float, Dict[str, Any]]] = []
-    for payload in payloads:
-        out.append(run_resilient_single(payload))
-    return out

@@ -1,22 +1,26 @@
-"""Shipping clusters to worker processes.
+"""Cluster payloads: the identity of a cluster's sliced sub-program.
 
 The paper's scalability story rests on clusters being independent work
 units: "the clusters can be analyzed independently of each other ...
-making the analysis embarrassingly parallel".  A CPython thread pool
-cannot demonstrate that (the GIL serializes the workers), so the real
-backend sends each cluster to a ``ProcessPoolExecutor`` worker.  What
-travels is not the whole program but the cluster's *sliced sub-program*
-(the paper's reduced program ``Prog_P``), rebuilt on the worker side via
-the versioned IR serializer:
+making the analysis embarrassingly parallel".  A cluster's *sliced
+sub-program* (the paper's reduced program ``Prog_P``) is all that its
+analysis depends on (Theorem 6), so its encoding is the cluster's
+identity across runs, edits and machines: the summary-cache key, the
+daemon's cluster-store key and the fleet's routing key.  Payloads are
+built only where such a fingerprint is consumed; the processes backend
+(:mod:`~repro.core.parallel`) forks workers that inherit the program and
+ships no payload at all.
 
 * :func:`cluster_subprogram` — restrict the program to the functions
   from which the cluster's slice is reachable, replacing irrelevant
   pointer assignments with skips.  Control flow, calls, returns and
   assumes are preserved, so FSCI/FSCS on the sub-program compute exactly
   what they compute on the full program restricted to the slice
-  (Theorem 6).
+  (Theorem 6; ``tests/test_parallel_diff.py`` solves every decoded
+  payload to check it).
 * :func:`build_payload` — one JSON-safe dict per cluster: sub-program,
-  cluster, analysis knobs.
+  cluster, analysis knobs, in the versioned IR wire format
+  (:func:`payload_program` and :func:`payload_cluster` decode it).
 * :func:`payload_fingerprint` — content hash of a payload; the summary
   cache key.  Source spans are dropped from sub-programs, so edits that
   do not change a cluster's sliced sub-program (touching other
@@ -29,11 +33,8 @@ the versioned IR serializer:
   :func:`cluster_fingerprints`, the one place fingerprints are made,
   remembers each key's fingerprint in a caller-owned map: a reload then
   encodes only the clusters an edit changed.
-* :func:`analyze_payload` — the worker entry point (module-level,
-  hence picklable; :mod:`~repro.core.resilience` wraps it per part).
-  A worker-local FSCI cache keyed by the parent slice's fingerprint
-  reproduces the sibling-cluster sharing
-  :meth:`BootstrapResult.analysis_for` does in process.
+* :func:`cluster_outcome` — the canonical result of analyzing one
+  cluster, identical on every backend.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ def build_payload(program: Program, cluster: Cluster,
                   budget: Optional[int] = None,
                   subprogram_cache: Optional[Dict[int, Any]] = None,
                   ) -> Dict[str, Any]:
-    """Everything a worker needs to analyze one cluster, JSON-safe.
+    """Everything one cluster's analysis depends on, JSON-safe.
 
     The payload is the interned wire format (:data:`PAYLOAD_VERSION`):
     one symbol table per payload, everything else referring to symbols
@@ -234,9 +235,8 @@ def build_payload(program: Program, cluster: Cluster,
         sub = cluster_subprogram(program, cluster, callgraph)
         table = SymbolTable()
         # Intern order matters for sibling sharing: sub-program symbols
-        # first, then the base slice's — every sibling then ships an
-        # identical ``syms[:base_syms]`` prefix, which is what the
-        # worker's shared-FSCI fingerprint hashes.
+        # first, then the base slice's — every sibling then carries an
+        # identical ``syms[:base_syms]`` prefix.
         sub_wire = program_to_wire(sub, table)
         base_wire = slice_to_wire(base, table)
         entry = (sub_wire, base_wire, table, len(table), len(table.fnames))
@@ -325,7 +325,7 @@ def cluster_fingerprints(program: Program, clusters: Sequence[Cluster],
                          max_cond_atoms: int = 4,
                          budget: Optional[int] = None,
                          known: Optional[Any] = None,
-                         payloads: Optional[Dict[int, Dict[str, Any]]] = None,
+                         encoded: Optional[List[int]] = None,
                          ) -> List[str]:
     """Payload fingerprints for a batch of clusters, input order — the
     one place fingerprints are made.
@@ -337,8 +337,8 @@ def cluster_fingerprints(program: Program, clusters: Sequence[Cluster],
     anything with ``get`` and item assignment: a cluster whose key it
     holds takes the remembered fingerprint and builds nothing; only the
     others are encoded.  Every cluster's key is then recorded in it.
-    Payloads built along the way land in ``payloads`` (by input index)
-    so a caller that ships them does not encode them twice.
+    The input index of every cluster whose payload was built is
+    appended to ``encoded``.
 
     The fingerprints are byte-identical either way, which makes them
     valid shard keys: the fleet coordinator routes by them without
@@ -360,8 +360,8 @@ def cluster_fingerprints(program: Program, clusters: Sequence[Cluster],
                                     max_cond_atoms=max_cond_atoms,
                                     budget=budget, subprogram_cache=cache)
             fp = payload_fingerprint(payload)
-            if payloads is not None:
-                payloads[i] = payload
+            if encoded is not None:
+                encoded.append(i)
         if known is not None:
             known[key] = fp
         fingerprints.append(fp)
@@ -374,35 +374,9 @@ def payload_fingerprint(payload: Dict[str, Any]) -> str:
     Two clusters (across runs, across edited sources) share a
     fingerprint iff their sliced sub-programs, members, slices and
     analysis knobs are identical, which is exactly when their cached
-    outcomes are interchangeable.  Execution decorations (injected
-    faults, resilience config) describe *how* a run executes, not what
-    it computes, so they are excluded — a faulted or timeout-bounded
-    run keeps the cache identity of a clean one.
+    outcomes are interchangeable.
     """
-    from .resilience import EXECUTION_KEYS
-    if any(k in payload for k in EXECUTION_KEYS):
-        payload = {k: v for k, v in payload.items()
-                   if k not in EXECUTION_KEYS}
     return _digest(payload)
-
-
-def _fsci_fingerprint(payload: Dict[str, Any]) -> str:
-    """Key for the worker-local shared-FSCI cache: sibling clusters of
-    one partition ship identical sub-programs and parent slices.
-
-    The shared symbol prefix (``base_syms`` entries) joins the hash —
-    the same wire indices mean different symbols under different
-    tables, so the prefix is what gives the sub-program and parent slice
-    their meaning.
-    """
-    cluster = payload["cluster"]
-    parent = cluster.get("parent_slice", cluster["slice"])
-    return _digest({
-        "syms": payload["syms"][:payload["base_syms"]],
-        "fnames": payload["fnames"][:payload["base_fnames"]],
-        "subprogram": payload["subprogram"],
-        "parent": parent,
-    })
 
 
 def payload_program(payload: Dict[str, Any]) -> Program:
@@ -438,44 +412,3 @@ def cluster_outcome(analysis: ClusterFSCS) -> Dict[str, Any]:
         objs = analysis.points_to(p, exit_loc)
         points_to[str(p)] = sorted(str(o) for o in objs)
     return {"stats": stats, "points_to": points_to}
-
-
-#: Worker-local cache: parent-slice fingerprint -> (program, callgraph,
-#: FSCI result).  Mirrors the sibling sharing of the in-process path and
-#: lives for the worker's lifetime.
-_FSCI_CACHE: Dict[str, Tuple[Program, CallGraph, object]] = {}
-
-
-def analyze_payload(payload: Dict[str, Any],
-                    deadline: Optional[float] = None) -> Dict[str, Any]:
-    """Worker entry point: rebuild the sub-program and analyze the
-    cluster, mirroring :meth:`BootstrapResult.analysis_for` exactly.
-    ``deadline`` (absolute ``time.monotonic``) is the resilience layer's
-    in-worker timeout; overruns raise
-    :class:`~repro.errors.AnalysisBudgetExceeded`."""
-    key = _fsci_fingerprint(payload)
-    cached = _FSCI_CACHE.get(key)
-    cluster = payload_cluster(payload)
-    if cached is None:
-        program = payload_program(payload)
-        callgraph = CallGraph(program)
-        parent = _base_slice(cluster)
-        probe = ClusterFSCS(program, cluster=(), tracked=parent.vp,
-                            relevant=parent.statements, callgraph=callgraph,
-                            deadline=deadline)
-        cached = (program, callgraph, probe.fsci)
-        _FSCI_CACHE[key] = cached
-    program, callgraph, fsci = cached
-    config = payload["config"]
-    analysis = ClusterFSCS(
-        program,
-        cluster=cluster.pointer_members,
-        tracked=cluster.slice.vp,
-        relevant=cluster.slice.statements,
-        callgraph=callgraph,
-        fsci=fsci,
-        max_cond_atoms=config["max_cond_atoms"],
-        budget=config["budget"],
-        deadline=deadline,
-    )
-    return cluster_outcome(analysis)

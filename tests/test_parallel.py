@@ -1,5 +1,7 @@
 """The greedy/LPT parallel schedules and runner."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,3 +218,19 @@ class TestGreedyProperties:
         for part in schedule[:-1]:
             acc = sum(c.size for c in part)
             assert acc - part[-1].size <= target
+
+
+class TestParallelBenchGate:
+    """``repro.bench.parallel --gate``: the schedule's balance and the
+    warm-cache skip ratio against a committed baseline."""
+
+    def test_gate_passes_against_itself_and_catches_a_better_baseline(self):
+        from repro.bench.parallel import check_gate, run_parallel_bench
+        data = run_parallel_bench(name="autofs", scale=0.02,
+                                  jobs_list=(2,))
+        assert check_gate(data, data) == []
+        better = json.loads(json.dumps(data))
+        for run in better["runs"]:
+            run["machine_speedup"] *= 2.0
+        failures = check_gate(data, better)
+        assert failures and "machine_speedup at jobs=2" in failures[0]

@@ -1,15 +1,18 @@
 """Cross-backend differential suite.
 
-The processes backend rebuilds each cluster's sliced sub-program in a
-worker with its own interpreter (and its own ``PYTHONHASHSEED``), so any
-unsoundness in the slicing, serialization, or a hash-order dependence in
-the analyses would show up as a points-to difference against the
-in-process simulate backend.  These tests pin the contract: for every
-corpus program and example, both backends produce bit-identical
-per-cluster points-to sets, the bitmask solver kernels agree with the
-frozenset reference solvers end to end, the diagnostic commands are
-deterministic across hash seeds, and the report covers every cluster
-exactly once.
+The processes backend forks workers that inherit the analyzed program
+and solve their clusters there, so a result that depends on the process
+it was computed in (state lost or corrupted across the fork, results
+mis-assigned to cluster indices on the way back) shows up as a
+points-to difference against the in-process simulate backend.  These
+tests pin the contract: for every corpus program and example, both
+backends produce bit-identical per-cluster points-to sets, every
+cluster solved from its decoded payload alone equals its in-process
+solve (Theorem 6 — the equality the payload fingerprint's role as the
+summary-cache, daemon-store and fleet routing key rests on), the
+bitmask solver kernels agree with the frozenset reference solvers end
+to end, the corpus and the diagnostic commands are deterministic across
+hash seeds, and the report covers every cluster exactly once.
 """
 
 import json
@@ -24,9 +27,17 @@ from repro.analysis.reference import (
     ReferenceFSCI,
     ReferenceFSCIResult,
 )
+from repro.analysis.fscs import ClusterFSCS
 from repro.bench import corpus_configs, generate
 from repro.frontend import parse_program
 from repro.core import BootstrapAnalyzer, BootstrapConfig, CascadeConfig
+from repro.core.shipping import (
+    build_payload,
+    cluster_outcome,
+    payload_cluster,
+    payload_program,
+)
+from repro.ir import CallGraph
 
 #: Small enough that all twenty corpus programs stay CI-friendly.
 SCALE = 0.004
@@ -135,11 +146,10 @@ class TestCorpusDifferential:
         sim = _outcomes(program, "simulate")
         prc = _outcomes(program, "processes", jobs=2, scheduler="lpt")
         assert _points_to(sim) == _points_to(prc)
-        # Non-timing stats must agree too: the workers run the same
-        # summary construction on the same sliced programs.
-        key = "summarized_functions"
-        assert [r["stats"][key] for r in sim.results] == \
-            [r["stats"][key] for r in prc.results]
+        # Every stat must agree too: the workers run the same summary
+        # construction on the same (inherited) program.
+        assert [r["stats"] for r in sim.results] == \
+            [r["stats"] for r in prc.results]
         n = len(sim.results)
         for report in (sim, prc):
             _assert_full_coverage(report, n)
@@ -169,6 +179,75 @@ class TestCorpusDifferential:
             [r["stats"] for r in off.results]
 
 
+def _payload_outcomes(boot):
+    """Every cluster solved from its payload alone, as a worker that
+    received payloads did: a JSON hop, a decode, and one FSCI run per
+    base slice shared by the siblings that carry the same sub-program
+    and parent slice (keyed by those wire fields and the symbol-table
+    prefix that gives their indices meaning)."""
+    shared = {}
+    subprograms = {}
+    outcomes = []
+    for cluster in boot.clusters:
+        payload = build_payload(boot.program, cluster, boot.callgraph,
+                                max_cond_atoms=boot.config.max_cond_atoms,
+                                budget=boot.config.fscs_budget,
+                                subprogram_cache=subprograms)
+        hop = json.loads(json.dumps(payload))
+        decoded = payload_cluster(hop)
+        wire = hop["cluster"]
+        key = json.dumps([hop["syms"][:hop["base_syms"]],
+                          hop["fnames"][:hop["base_fnames"]],
+                          hop["subprogram"],
+                          wire.get("parent_slice", wire["slice"])],
+                         sort_keys=True)
+        if key not in shared:
+            program = payload_program(hop)
+            callgraph = CallGraph(program)
+            base = decoded.parent_slice if decoded.parent_slice is not None \
+                else decoded.slice
+            probe = ClusterFSCS(program, cluster=(), tracked=base.vp,
+                                relevant=base.statements,
+                                callgraph=callgraph)
+            shared[key] = (program, callgraph, probe.fsci)
+        program, callgraph, fsci = shared[key]
+        config = hop["config"]
+        outcomes.append(cluster_outcome(ClusterFSCS(
+            program, cluster=decoded.pointer_members,
+            tracked=decoded.slice.vp, relevant=decoded.slice.statements,
+            callgraph=callgraph, fsci=fsci,
+            max_cond_atoms=config["max_cond_atoms"],
+            budget=config["budget"])))
+    return outcomes
+
+
+def _assert_payload_solves_agree(program):
+    boot = _fresh(program)
+    decoded = _payload_outcomes(boot)
+    whole = boot.analyze_all()
+    assert [r["points_to"] for r in decoded] == _points_to(whole)
+    key = "summarized_functions"
+    assert [r["stats"][key] for r in decoded] == \
+        [r["stats"][key] for r in whole.results]
+
+
+class TestPayloadSolveDifferential:
+    """Theorem 6 end to end: a cluster's decoded ``Prog_P`` computes
+    exactly what the whole program computes for it."""
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_corpus(self, name):
+        cfg = next(c for c in corpus_configs(scale=SCALE)
+                   if c.name == name)
+        _assert_payload_solves_agree(generate(cfg).program)
+
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_examples(self, example):
+        with open(os.path.join(EXAMPLES_DIR, example)) as handle:
+            _assert_payload_solves_agree(
+                parse_program(handle.read(), path=example))
+
+
 class TestExamplesDifferential:
     @pytest.mark.parametrize("example", EXAMPLES)
     def test_backends_agree(self, example):
@@ -190,8 +269,9 @@ class TestExamplesDifferential:
 
 #: Runs the whole corpus through the kernel solvers and digests every
 #: per-cluster points-to set; both backends on one representative
-#: program pin the worker path (workers inherit a fresh random
-#: PYTHONHASHSEED of their own on top of the one we set).
+#: program pin the worker path.  Forked workers keep their parent's
+#: hash secret, so it is the several PYTHONHASHSEED values the test
+#: runs this script under that cover hash-order independence.
 _CORPUS_DIGEST_SCRIPT = """
 import hashlib, json, sys
 from repro.bench import corpus_configs, generate
@@ -246,9 +326,9 @@ def _run_cli(args, seed, cwd):
 
 
 class TestDiagnosticsDeterministic:
-    """`repro races` / `repro check` must not depend on hash order —
-    the property that lets worker processes (each with a random
-    PYTHONHASHSEED) reproduce the parent's diagnostics bit-for-bit."""
+    """`repro races` / `repro check` / `repro taint` must not depend on
+    hash order: the same source gives bit-identical diagnostics in any
+    interpreter, whatever its PYTHONHASHSEED."""
 
     def test_races_stable_across_hash_seeds(self, tmp_path):
         src = tmp_path / "racy.c"

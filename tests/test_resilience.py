@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -101,9 +102,11 @@ class TestRunPolicy:
         assert DEFAULT_POLICY.cluster_timeout is None
         assert DEFAULT_POLICY.retries == 1
 
-    def test_payload_config_is_json_safe(self):
-        conf = RunPolicy(cluster_timeout=1.5, degrade=True).payload_config()
-        assert json.loads(json.dumps(conf)) == conf
+    def test_deadline_starts_now(self):
+        assert RunPolicy().deadline() is None
+        before = time.monotonic()
+        deadline = RunPolicy(cluster_timeout=1.5).deadline()
+        assert before + 1.5 <= deadline <= time.monotonic() + 1.5
 
 
 class TestCircuitBreaker:
@@ -316,6 +319,62 @@ class TestInProcessResilience:
             backend="simulate", policy=RunPolicy(degrade=True))
         assert len(report.degraded) == len(result.clusters)
         assert all(is_degraded(r) for r in report.results)
+
+
+# ----------------------------------------------------------------------
+# the per-cluster timeout reaches the solver on both backends
+# ----------------------------------------------------------------------
+
+class TestClusterTimeout:
+    @pytest.mark.parametrize("name", ["sendmail", "httpd"])
+    def test_expired_deadline_degrades_alike_on_both_backends(self, name):
+        """An already-expired deadline fails every solve that reaches a
+        deadline check (every 256 FSCI iterations or engine steps), so
+        it degrades a fixed set of clusters: the same ones, to the same
+        levels, on either backend."""
+        cfg = next(c for c in corpus_configs(scale=SCALE)
+                   if c.name == name)
+        program = generate(cfg).program
+        policy = RunPolicy(cluster_timeout=0.0, retries=0, degrade=True)
+        sim = _fresh(program).analyze_all(backend="simulate",
+                                          policy=policy)
+        prc = _fresh(program).analyze_all(backend="processes", jobs=2,
+                                          policy=policy)
+        assert 0 < len(sim.degraded) < len(sim.results)
+        assert sim.degraded == prc.degraded
+        clean = _fresh(program).analyze_all(backend="simulate").results
+        for i, clean_outcome in enumerate(clean):
+            if i in sim.degraded:
+                _assert_superset(clean_outcome, sim.results[i])
+            else:
+                assert sim.results[i] == prc.results[i] == clean_outcome
+
+    def test_deadline_is_lifted_once_the_load_is_done(self):
+        """Analyses a deadline-bound load memoizes answer later queries
+        (which extend their summaries lazily) long after it expired."""
+        cfg = next(c for c in corpus_configs(scale=SCALE)
+                   if c.name == "sendmail")
+        program = generate(cfg).program
+        timeout = 1.0
+        result = _fresh(program)
+        report = result.analyze_all(
+            backend="simulate",
+            policy=RunPolicy(cluster_timeout=timeout, retries=0,
+                             degrade=True))
+        assert report.degraded == {}
+        time.sleep(timeout + 0.05)  # every solve's deadline has passed
+        reference = _fresh(program)
+        exit_index = program.cfg_of(program.entry).exit
+        queried = 0
+        for cluster in result.clusters:
+            for loc in sorted(cluster.slice.statements, key=str):
+                if loc.function == program.entry and loc.index == exit_index:
+                    continue
+                for p in sorted(cluster.pointer_members, key=str):
+                    assert result.points_to(p, loc) == \
+                        reference.points_to(p, loc), (p, loc)
+                    queried += 1
+        assert queried
 
 
 # ----------------------------------------------------------------------

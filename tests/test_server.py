@@ -447,10 +447,10 @@ def test_invalidate_respects_max_files(tmp_path):
 
 
 def count_payloads(monkeypatch):
-    """Record every ``build_payload`` call, at each binding a load
-    reaches it through (``cluster_fingerprints`` and ``analyze_all``);
-    returns the list the calls' clusters are appended to."""
-    from repro.core import bootstrap, shipping
+    """Record every ``build_payload`` call a load makes (all of them go
+    through ``cluster_fingerprints``); returns the list the calls'
+    clusters are appended to."""
+    from repro.core import shipping
     calls = []
     original = shipping.build_payload
 
@@ -459,7 +459,6 @@ def count_payloads(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(shipping, "build_payload", counting)
-    monkeypatch.setattr(bootstrap, "build_payload", counting)
     return calls
 
 

@@ -128,18 +128,18 @@ def test_remembered_fingerprints_are_the_built_ones():
     program = parse_program(text, entry="main")
     result = BootstrapAnalyzer(program).run()
     known = {}
-    payloads = {}
+    encoded = []
     first = cluster_fingerprints(program, result.clusters,
                                  result.callgraph, known=known,
-                                 payloads=payloads)
+                                 encoded=encoded)
     assert first == [payload_fingerprint(build_payload(
         program, c, result.callgraph)) for c in result.clusters]
-    assert len(payloads) == len(set(first))
-    again = {}
+    assert len(encoded) == len(set(first))
+    again = []
     assert cluster_fingerprints(program, result.clusters,
                                 result.callgraph, known=known,
-                                payloads=again) == first
-    assert again == {}
+                                encoded=again) == first
+    assert again == []
 
 
 # ----------------------------------------------------------------------
