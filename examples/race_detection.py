@@ -1,80 +1,44 @@
 #!/usr/bin/env python3
 """The paper's motivating application: data race detection via locksets.
 
-A driver-flavoured program with two "threads" (an ioctl path and an
-interrupt handler).  One shared counter is consistently protected by a
-lock; another is written unlocked from the interrupt path — a race.
+``race_demo.c`` is a driver-flavoured program with two spawned threads
+(an ioctl path and an interrupt handler).  One shared counter is
+consistently protected by a lock; another is written unlocked from the
+interrupt path — a race.
 
-The alias work is demand-driven: only clusters containing lock pointers
-need must-alias analysis, which the demand-selection report shows.
+The alias work is demand-driven: the race checker analyzes only the
+clusters holding lock pointers or pointers dereferenced in thread code,
+which its stats line shows.
 
 Run:  python examples/race_detection.py
 """
 
-from repro import BootstrapAnalyzer, parse_program
-from repro.applications import (
-    LocksetAnalysis,
-    RaceDetector,
-    find_lock_sites,
-    lock_pointers,
-)
-from repro.core import select_clusters
+from pathlib import Path
 
-SOURCE = r"""
-int dev_lock_obj;
-int counter_safe;
-int counter_racy;
+from repro.applications import find_lock_sites, lock_pointers
+from repro.checkers import run_races, spawn_entries
+from repro.frontend import parse_program
 
-int *the_lock;
-
-void lock(int *l) { }
-void unlock(int *l) { }
-
-void ioctl_handler(void) {
-    lock(the_lock);
-    counter_safe = counter_safe + 1;
-    counter_racy = counter_racy + 1;   /* locked here... */
-    unlock(the_lock);
-}
-
-void irq_handler(void) {
-    lock(the_lock);
-    counter_safe = counter_safe + 2;
-    unlock(the_lock);
-    counter_racy = counter_racy + 2;   /* ...but not here: race! */
-}
-
-int main() {
-    the_lock = &dev_lock_obj;
-    ioctl_handler();
-    irq_handler();
-    return 0;
-}
-"""
+DEMO = Path(__file__).resolve().parent / "race_demo.c"
 
 
 def main() -> None:
-    program = parse_program(SOURCE)
+    program = parse_program(DEMO.read_text(), path=str(DEMO))
 
     sites = find_lock_sites(program)
     print(f"Found {len(sites)} lock/unlock sites; lock pointers:",
           sorted(map(str, lock_pointers(program))))
+    print("Thread entries (spawned):", spawn_entries(program))
 
     # Demand-driven cluster selection: the paper's flexibility story.
-    result = BootstrapAnalyzer(program).run()
-    selection = select_clusters(result, lock_pointers(program))
-    print(f"Demand-driven: {len(selection.selected)} of "
-          f"{selection.total_clusters} clusters contain lock pointers "
-          f"({selection.pointer_fraction:.1%} of all pointers).")
+    run = run_races(program)
+    stats = run.stats
+    print(f"Demand-driven: analyzed {stats.clusters_selected} of "
+          f"{stats.clusters_total} clusters "
+          f"({stats.pointers_selected} of {stats.pointers_total} "
+          f"pointers).")
 
-    locksets = LocksetAnalysis(program).run()
-    for site in locksets.sites:
-        held = sorted(map(str, locksets.held_after(site.loc)))
-        print(f"   after {site.primitive} at {site.loc}: held = {held}")
-
-    detector = RaceDetector(program,
-                            thread_entries=["ioctl_handler", "irq_handler"])
-    warnings = detector.run()
+    warnings = run.value
     print(f"\n{len(warnings)} race warning(s):")
     for w in warnings:
         print("   ", w)

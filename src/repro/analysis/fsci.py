@@ -191,9 +191,6 @@ class FSCIResult(PointsToResult):
         return {table.obj_of(k): table.objects_of(v)
                 for k, v in state.items()}
 
-    def may_point_to(self, p: MemObject, obj: MemObject, loc: Loc) -> bool:
-        return obj in self.pts_before(loc, p)
-
     def may_values_equal(self, p: MemObject, q: MemObject, loc: Loc) -> bool:
         """May ``p`` and ``q`` hold the same value before ``loc``?
 

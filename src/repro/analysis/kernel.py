@@ -134,12 +134,6 @@ class NodeTable:
             self._decode[mask] = cached
         return cached
 
-    def ids_of(self, mask: int) -> Iterator[int]:
-        """Interned ids set in ``mask`` (reserved bits ignored)."""
-        base = self.reserved
-        for pos in iter_bits(mask >> base):
-            yield pos
-
 
 class BitSet:
     """A mutable set of dense ids backed by a single int.

@@ -1,4 +1,11 @@
-"""Applications built on the bootstrapped alias analysis."""
+"""The paper's motivating application: locksets and data races.
+
+:mod:`.lockset` computes must-held locks from the lock pointers'
+singleton points-to sets; :mod:`.races` pairs conflicting shared
+accesses from different threads with no common lock.  Both run over the
+FSCI they are handed: the race and deadlock checkers
+(:mod:`repro.checkers`) pass the demand engine's sliced FSCI.
+"""
 
 from .lockset import (
     LOCK_FUNCTIONS,
@@ -12,16 +19,16 @@ from .lockset import (
 from .races import (
     RACE_RULE_ID,
     Access,
-    RaceDetector,
     RaceWarning,
     collect_accesses,
+    find_races,
     race_diagnostics,
     thread_assignment,
 )
 
 __all__ = [
     "Access", "LOCK_FUNCTIONS", "LockSite", "LocksetAnalysis",
-    "LocksetResult", "RACE_RULE_ID", "RaceDetector", "RaceWarning",
-    "UNLOCK_FUNCTIONS", "collect_accesses", "find_lock_sites",
+    "LocksetResult", "RACE_RULE_ID", "RaceWarning",
+    "UNLOCK_FUNCTIONS", "collect_accesses", "find_lock_sites", "find_races",
     "lock_pointers", "race_diagnostics", "thread_assignment",
 ]

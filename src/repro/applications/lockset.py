@@ -16,11 +16,11 @@ made up solely of lock pointers.  This module implements that pipeline:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..analysis.dataflow import ForwardDataflow, Supergraph
-from ..analysis.fsci import FSCI, FSCIResult
+from ..analysis.fsci import FSCIResult
 from ..ir import CallStmt, Loc, MemObject, Program, Statement, Var
 from ..ir.program import param_var
 
@@ -119,16 +119,15 @@ _TOP = None
 class LocksetAnalysis:
     """Forward must-held-locks dataflow.
 
-    ``resolver`` maps a lock site to the lock objects it certainly
-    operates on (singleton may-points-to at the site); defaults to an
-    FSCI pass over the whole program — callers doing it the paper's way
-    pass a bootstrapped per-cluster analysis instead.
+    ``fsci`` resolves each lock site to the lock objects it certainly
+    operates on (singleton may-points-to at the site).  The checkers
+    pass the demand engine's sliced FSCI over the lock pointers'
+    clusters, the paper's way.
     """
 
-    def __init__(self, program: Program,
-                 fsci: Optional[FSCIResult] = None) -> None:
+    def __init__(self, program: Program, fsci: FSCIResult) -> None:
         self.program = program
-        self.fsci = fsci if fsci is not None else FSCI(program).run()
+        self.fsci = fsci
         self.sites = find_lock_sites(program)
         self._by_loc: Dict[Loc, LockSite] = {s.loc: s for s in self.sites}
 

@@ -2,18 +2,19 @@
 
 Two accesses race when they may touch the same shared object from
 different threads with no common lock held.  Thread structure is given
-explicitly (``thread_entries``): each entry function models a thread (a
-driver's ioctl handler vs. its interrupt handler, say).
+as entry functions: each one models a thread (a driver's ioctl handler
+vs. its interrupt handler, say).
 
 The alias side uses the bootstrapped analysis exactly as the paper
-advertises: only the clusters containing accessed shared objects matter,
-and negative queries die instantly on the Steensgaard partition check.
+advertises: :class:`~repro.checkers.races.RaceChecker` runs
+:func:`find_races` over a sliced FSCI of only the clusters holding lock
+pointers or pointers dereferenced in thread code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from ..analysis.fsci import FSCIResult
 from ..ir import (
@@ -24,9 +25,7 @@ from ..ir import (
     Loc,
     MemObject,
     Program,
-    Statement,
     Store,
-    Var,
 )
 from .lockset import LocksetAnalysis, LocksetResult
 
@@ -121,45 +120,44 @@ def thread_assignment(program: Program,
     return {fn: frozenset(s) for fn, s in assignment.items()}
 
 
-class RaceDetector:
-    """End-to-end: locksets + shared accesses -> warnings."""
+def find_races(program: Program, fsci: FSCIResult,
+               threads: Dict[str, FrozenSet[str]]) -> List[RaceWarning]:
+    """Race warnings from locksets and shared accesses.
 
-    def __init__(self, program: Program, thread_entries: List[str],
-                 lockset: Optional[LocksetAnalysis] = None) -> None:
-        self.program = program
-        self.thread_entries = list(thread_entries)
-        self.lockset_analysis = lockset or LocksetAnalysis(program)
-
-    def run(self) -> List[RaceWarning]:
-        locksets: LocksetResult = self.lockset_analysis.run()
-        fsci = self.lockset_analysis.fsci
-        threads = thread_assignment(self.program, self.thread_entries)
-        accesses = collect_accesses(self.program, fsci, threads)
-        by_obj: Dict[MemObject, List[Access]] = {}
-        for a in accesses:
-            by_obj.setdefault(a.obj, []).append(a)
-        warnings: List[RaceWarning] = []
-        seen: Set[Tuple[Loc, Loc, MemObject]] = set()
-        for obj, group in sorted(by_obj.items(), key=lambda kv: str(kv[0])):
-            for i, a in enumerate(group):
-                for b in group[i + 1:]:
-                    if len(a.threads | b.threads) <= 1:
-                        # Only a single thread can ever reach both
-                        # accesses; any multi-entry overlap (including a
-                        # shared helper reachable from both threads) can
-                        # interleave and must be checked.
-                        continue
-                    if not (a.is_write or b.is_write):
-                        continue
-                    if locksets.held_before(a.loc) & locksets.held_before(b.loc):
-                        continue  # a common lock protects both
-                    key = (min(a.loc, b.loc), max(a.loc, b.loc), obj)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    first, second = sorted((a, b), key=lambda x: x.loc)
-                    warnings.append(RaceWarning(first, second))
-        return warnings
+    ``fsci`` resolves lock sites and dereferences: the checker passes
+    the demand engine's sliced FSCI over the lock pointers' and the
+    threads' dereferenced pointers' clusters (Theorem 6 makes it agree
+    with a whole-program FSCI on every one of them).  ``threads`` maps
+    each function to the thread entries reaching it
+    (:func:`thread_assignment`).
+    """
+    locksets: LocksetResult = LocksetAnalysis(program, fsci).run()
+    accesses = collect_accesses(program, fsci, threads)
+    by_obj: Dict[MemObject, List[Access]] = {}
+    for a in accesses:
+        by_obj.setdefault(a.obj, []).append(a)
+    warnings: List[RaceWarning] = []
+    seen: Set[Tuple[Loc, Loc, MemObject]] = set()
+    for obj, group in sorted(by_obj.items(), key=lambda kv: str(kv[0])):
+        for i, a in enumerate(group):
+            for b in group[i + 1:]:
+                if len(a.threads | b.threads) <= 1:
+                    # Only a single thread can ever reach both
+                    # accesses; any multi-entry overlap (including a
+                    # shared helper reachable from both threads) can
+                    # interleave and must be checked.
+                    continue
+                if not (a.is_write or b.is_write):
+                    continue
+                if locksets.held_before(a.loc) & locksets.held_before(b.loc):
+                    continue  # a common lock protects both
+                key = (min(a.loc, b.loc), max(a.loc, b.loc), obj)
+                if key in seen:
+                    continue
+                seen.add(key)
+                first, second = sorted((a, b), key=lambda x: x.loc)
+                warnings.append(RaceWarning(first, second))
+    return warnings
 
 
 RACE_RULE_ID = "repro-data-race"
@@ -167,15 +165,20 @@ RACE_RULE_ID = "repro-data-race"
 
 def race_diagnostics(program: Program,
                      warnings: List[RaceWarning]) -> List["Diagnostic"]:
-    """Render race warnings through the shared diagnostic pipeline, so
-    the CLI emits them with the same text/JSON/SARIF machinery as the
-    memory-safety checkers."""
+    """Render race warnings through the shared diagnostic pipeline.
+
+    The ``subject`` names the object and the conflicting access's
+    function and line, so deduplication merges only races whose two ends
+    share lines, never two races that merely share their first access.
+    """
     from ..core.report import Diagnostic, TraceStep
     out: List[Diagnostic] = []
     for w in warnings:
         first, second = w.first, w.second
         kind1 = "write" if first.is_write else "read"
         kind2 = "write" if second.is_write else "read"
+        span2 = program.span_at(second.loc)
+        line2 = span2.line if span2 is not None else second.loc.index
         out.append(Diagnostic(
             rule_id=RACE_RULE_ID,
             severity="warning",
@@ -187,9 +190,8 @@ def race_diagnostics(program: Program,
             span=program.span_at(first.loc),
             file=program.source_path,
             checker="races",
-            subject=str(first.obj),
-            trace=(TraceStep(loc=second.loc,
-                             span=program.span_at(second.loc),
+            subject=f"{first.obj} vs {second.loc.function}:{line2}",
+            trace=(TraceStep(loc=second.loc, span=span2,
                              note=f"conflicting {kind2} in "
                                   f"{second.loc.function} "
                                   f"[{second.thread}]"),),

@@ -6,7 +6,6 @@ from .corpus import (
     PAPER_BY_NAME,
     PAPER_TABLE1,
     PaperRow,
-    autofs_like,
     build,
     corpus_configs,
     fp_heavy,
@@ -34,7 +33,7 @@ from .taint import run_taint_bench
 __all__ = [
     "HIGHLIGHTS", "PAPER_BY_NAME", "PAPER_TABLE1", "PaperRow", "TIMEOUT",
     "Table1Row", "Timed", "Figure1Data", "SynthConfig", "SynthProgram",
-    "ascii_histogram", "autofs_like", "build", "compute_figure1",
+    "ascii_histogram", "build", "compute_figure1",
     "corpus_configs", "format_csv", "format_table", "fp_heavy",
     "fp_heavy_config", "generate",
     "generate_source", "measure_program", "ratio", "run_cascade_bench",

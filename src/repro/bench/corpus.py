@@ -112,11 +112,6 @@ def build(name: str, scale: float = 0.1) -> SynthProgram:
     return generate(_config_for(PAPER_BY_NAME[name], scale))
 
 
-def autofs_like(scale: float = 0.25) -> SynthProgram:
-    """The Figure 1 subject (cluster-size frequency histogram)."""
-    return build("autofs", scale)
-
-
 def fp_heavy_config(scale: float = 0.1) -> SynthConfig:
     """A function-pointer-dense workload (ROADMAP item 5's leftover).
 

@@ -7,6 +7,10 @@ flexibility pitch), runs a sliced FSCI over the union of their slices
 (widening round by round when the checker demands more), and
 :func:`run_checker` finishes the findings through the shared
 :class:`~repro.core.report.Diagnostic` pipeline (text / JSON / SARIF).
+
+The registry holds the memory-safety checkers (null-deref,
+use-after-free, double-free), the leak, taint and deadlock clients, and
+the paper's own motivating client, lockset race detection.
 """
 
 from .base import (
@@ -30,6 +34,7 @@ from .doublefree import DoubleFreeChecker
 from .heapfacts import FreeFacts
 from .leak import LeakChecker, run_leaks
 from .nullderef import NullDerefChecker
+from .races import RaceChecker, run_races
 from .taint import TaintChecker, run_taint
 from .useafterfree import UseAfterFreeChecker
 
@@ -37,7 +42,7 @@ __all__ = [
     "CHECKER_REGISTRY", "CheckReport", "Checker", "CheckerContext",
     "CheckerRun", "CheckerStats", "DeadlockChecker", "DoubleFreeChecker",
     "FreeFacts", "LeakChecker", "LockOrderReport", "NullDerefChecker",
-    "TaintChecker", "UseAfterFreeChecker", "register_checker",
-    "run_checker", "run_checkers", "run_deadlocks", "run_leaks",
-    "run_taint", "spawn_entries",
+    "RaceChecker", "TaintChecker", "UseAfterFreeChecker",
+    "register_checker", "run_checker", "run_checkers", "run_deadlocks",
+    "run_leaks", "run_races", "run_taint", "spawn_entries",
 ]

@@ -72,6 +72,18 @@ def spawn_entries(program: Program) -> List[str]:
     return sorted(entries)
 
 
+def resolve_threads(program: Program, thread_entries: Optional[List[str]]
+                    ) -> Tuple[List[str], Dict[str, FrozenSet[str]]]:
+    """The sorted thread entries (default: :func:`spawn_entries`) and
+    the entries reaching each function; no functions at all with fewer
+    than two entries, where nothing can race or deadlock."""
+    from ..applications.races import thread_assignment
+    entries = sorted(thread_entries) if thread_entries is not None \
+        else spawn_entries(program)
+    return entries, (thread_assignment(program, entries)
+                     if len(entries) >= 2 else {})
+
+
 @dataclass(frozen=True)
 class LockOrderEdge:
     """``held -> wanted``: one acquisition of ``wanted`` under ``held``."""
@@ -215,16 +227,12 @@ class DeadlockChecker(Checker):
 
     def client(self, ctx: CheckerContext) -> Client:
         from ..applications.lockset import LocksetAnalysis
-        from ..applications.races import thread_assignment
 
         program = ctx.program
-        entries = sorted(self.thread_entries) \
-            if self.thread_entries is not None else spawn_entries(program)
-        threads = thread_assignment(program, entries) \
-            if len(entries) >= 2 else {}
+        entries, threads = resolve_threads(program, self.thread_entries)
 
         def cycles(view: DemandView):
-            if view.fsci is None or len(entries) < 2:
+            if view.fsci is None or not threads:
                 return LockOrderReport([], entries), ()
             locks = LocksetAnalysis(program, fsci=view.fsci).run()
             # Widen with any lock pointer whose cluster is not yet

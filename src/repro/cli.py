@@ -22,10 +22,12 @@ Examples::
     python -m repro table1 --scale 0.02              # the paper's table
     python -m repro figure1                          # the paper's figure
 
-Exit codes: 0 success, 1 findings/races with the ``--fail-on-*`` flags
-or a cluster that failed past its retry budget without ``--degrade``,
-2 usage errors, 3 an analysis budget was exceeded (clean message on
-stderr, never a traceback).
+Exit codes: 0 success, 1 findings/races with the ``--fail-on-*`` flags,
+a cluster that failed past its retry budget without ``--degrade``, or
+input that cannot be used (an unreadable file, C source the frontend
+rejects, an unknown ``--entry`` or ``--threads`` name), 2 bad flags,
+3 an analysis budget was exceeded (clean message on stderr, never a
+traceback).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from collections import Counter
 from typing import List, Optional, Sequence
 
 from .analysis import Andersen, Steensgaard
-from .applications import RaceDetector, find_lock_sites, lock_pointers
 from .core import (
     BootstrapAnalyzer,
     BootstrapConfig,
@@ -46,9 +47,8 @@ from .core import (
     RunPolicy,
     parse_fault_arg,
     resolve_pointer,
-    select_clusters,
 )
-from .errors import AnalysisBudgetExceeded
+from .errors import AnalysisBudgetExceeded, ReproError
 from .ir import Loc, Program, Var
 
 #: Exit code for a clean :class:`AnalysisBudgetExceeded` failure.
@@ -71,7 +71,12 @@ def _load(path: str, entry: str) -> Program:
             source = handle.read()
     except OSError as exc:
         raise SystemExit(f"repro: cannot read {path}: {exc.strerror}")
-    return parse_program(source, entry=entry, path=path)
+    try:
+        return parse_program(source, entry=entry, path=path)
+    except ReproError as exc:
+        # Source the frontend rejects (with its line and column) or an
+        # undefined --entry: one line on stderr, never a traceback.
+        raise SystemExit(f"repro: {path}: {exc}")
 
 
 def _find_var(program: Program, name: str) -> Var:
@@ -230,39 +235,6 @@ def _write_sarif(path: str, diags) -> None:
         raise SystemExit(f"repro: cannot write {path}: {exc.strerror}")
 
 
-def cmd_races(args: argparse.Namespace) -> int:
-    import json
-
-    from .applications import race_diagnostics
-    from .core import diagnostics_to_dict
-    program = _load(args.file, args.entry)
-    threads = args.threads.split(",") if args.threads else []
-    if not threads:
-        raise SystemExit("--threads f1,f2 is required")
-    warnings = RaceDetector(program, threads).run()
-    diags = race_diagnostics(program, warnings)
-    if args.sarif:
-        _write_sarif(args.sarif, diags)
-    if args.json:
-        print(json.dumps(diagnostics_to_dict(diags), indent=2,
-                         sort_keys=True))
-    else:
-        locks = lock_pointers(program)
-        print(f"{len(find_lock_sites(program))} lock/unlock sites; "
-              f"lock pointers: {sorted(map(str, locks))}")
-        result = BootstrapAnalyzer(program).run()
-        sel = select_clusters(result, locks)
-        print(f"demand-driven: {len(sel.selected)}/{sel.total_clusters} "
-              f"clusters involve lock pointers")
-        print(f"{len(warnings)} race warning(s)")
-        for w in warnings:
-            print("  " + str(w))
-        if args.sarif:
-            print(f"SARIF written to {args.sarif}")
-    fail_on = args.fail_on or ("warning" if args.fail_on_race else None)
-    return 1 if _severity_fails(diags, fail_on) else 0
-
-
 def _emit_findings(args: argparse.Namespace, diags, noun: str,
                    details: Sequence[str]) -> int:
     """Emit one findings verb's diagnostics: SARIF to ``--sarif``, JSON
@@ -288,8 +260,8 @@ def _emit_findings(args: argparse.Namespace, diags, noun: str,
             print(line)
         if args.sarif:
             print(f"SARIF written to {args.sarif}")
-    fail_on = args.fail_on or ("note" if args.fail_on_finding else None)
-    return 1 if _severity_fails(diags, fail_on) else 0
+    return 1 if _severity_fails(diags, args.fail_on or args.fail_alias) \
+        else 0
 
 
 def _analyzed(st) -> str:
@@ -350,23 +322,43 @@ def cmd_leaks(args: argparse.Namespace) -> int:
                           [_demand_loop(run)])
 
 
+def _thread_entries(args: argparse.Namespace,
+                    program: Program) -> List[str]:
+    """``--threads`` as a sorted entry list, defaulting to the functions
+    passed to spawn-like primitives; unknown names are rejected."""
+    from .checkers import spawn_entries
+    threads = sorted({t for t in (args.threads or "").split(",") if t})
+    if not threads:
+        return spawn_entries(program)
+    unknown = [t for t in threads if t not in program.functions]
+    if unknown:
+        raise SystemExit(
+            f"repro {args.command}: unknown thread entr"
+            f"{'y' if len(unknown) == 1 else 'ies'}: {', '.join(unknown)}")
+    return threads
+
+
+def _threads_line(entries: Sequence[str]) -> str:
+    return f"  thread entries: {', '.join(entries) or 'none found'}"
+
+
+def cmd_races(args: argparse.Namespace) -> int:
+    from .checkers import run_races
+    program = _load(args.file, args.entry)
+    entries = _thread_entries(args, program)
+    run = run_races(program, thread_entries=entries)
+    return _emit_findings(args, run.diagnostics, "race warning(s)",
+                          [_threads_line(entries), _demand_loop(run)])
+
+
 def cmd_deadlocks(args: argparse.Namespace) -> int:
     from .checkers import run_deadlocks
     program = _load(args.file, args.entry)
-    threads = [t for t in (args.threads or "").split(",") if t] or None
-    if threads:
-        unknown = [t for t in threads if t not in program.functions]
-        if unknown:
-            raise SystemExit(
-                f"repro deadlocks: unknown thread entr"
-                f"{'y' if len(unknown) == 1 else 'ies'}: "
-                f"{', '.join(unknown)}")
-    run = run_deadlocks(program, thread_entries=threads,
+    entries = _thread_entries(args, program)
+    run = run_deadlocks(program, thread_entries=entries,
                         budget=args.budget)
-    entries = ", ".join(run.value.thread_entries) or "none found"
     return _emit_findings(args, run.diagnostics, "lock-order cycle(s)",
-                          [f"  thread entries: {entries}",
-                           _demand_loop(run)])
+                          [_threads_line(entries), _demand_loop(run)])
 
 
 def cmd_demand(args: argparse.Namespace) -> int:
@@ -740,26 +732,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--andersen", action="store_true")
     p.set_defaults(func=cmd_partitions)
 
-    p = sub.add_parser("races", help="lockset-based race detection")
-    p.add_argument("file")
-    p.add_argument("--entry", default="main")
-    p.add_argument("--threads", help="comma-separated thread entries")
-    p.add_argument("--sarif", metavar="OUT",
-                   help="write race warnings as SARIF 2.1.0 to OUT")
-    p.add_argument("--fail-on", choices=["note", "warning", "error"],
-                   default=None,
-                   help="exit 1 when any warning at or above this "
-                        "severity remains")
-    p.add_argument("--fail-on-race", action="store_true",
-                   help="alias for --fail-on warning")
-    p.add_argument("--json", action="store_true",
-                   help="emit warnings as JSON diagnostics")
-    p.set_defaults(func=cmd_races)
-
-    def findings_parser(name: str, summary: str,
-                        func) -> argparse.ArgumentParser:
+    def findings_parser(name: str, summary: str, func,
+                        alias: str = "--fail-on-finding",
+                        alias_level: str = "note"
+                        ) -> argparse.ArgumentParser:
         """A verb that reports findings on FILE, with the entry,
-        emitter and exit-status flags every such verb shares."""
+        emitter and exit-status flags every such verb shares; ``alias``
+        is the verb's shorthand for ``--fail-on alias_level``."""
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         p.add_argument("file")
@@ -772,9 +751,17 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="exit 1 when any finding at or above this "
                             "severity remains")
-        p.add_argument("--fail-on-finding", action="store_true",
-                       help="alias for --fail-on note")
+        p.add_argument(alias, dest="fail_alias", action="store_const",
+                       const=alias_level,
+                       help=f"alias for --fail-on {alias_level}")
         return p
+
+    threads_help = ("comma-separated thread entries (default: "
+                    "functions passed to spawn-like primitives)")
+    p = findings_parser("races", "lockset-based race detection on a file",
+                        cmd_races, alias="--fail-on-race",
+                        alias_level="warning")
+    p.add_argument("--threads", help=threads_help)
 
     budget_help = ("cluster budget for the demand loop; exceeding it "
                    f"exits with code {EXIT_BUDGET}")
@@ -798,9 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = findings_parser("deadlocks",
                         "lock-order-cycle (deadlock) analysis on a file",
                         cmd_deadlocks)
-    p.add_argument("--threads",
-                   help="comma-separated thread entries (default: "
-                        "functions passed to spawn-like primitives)")
+    p.add_argument("--threads", help=threads_help)
     p.add_argument("--budget", type=int, default=None, metavar="N",
                    help=budget_help)
 

@@ -2,12 +2,6 @@
 
 from .bootstrap import BootstrapAnalyzer, BootstrapConfig, BootstrapResult
 from .cascade import CascadeConfig, CascadeResult, run_cascade
-from .contexts import (
-    context_count,
-    context_sensitivity_gain,
-    enumerate_contexts,
-    points_to_by_context,
-)
 from .clusters import (
     DEFAULT_ANDERSEN_THRESHOLD,
     Cluster,
@@ -54,7 +48,6 @@ from .shipping import (
 from .summary_cache import SummaryCache
 from .queries import (
     DemandSelection,
-    demand_alias_sets,
     resolve_pointer,
     select_clusters,
 )
@@ -71,7 +64,7 @@ from .report import (
     size_summary,
     suppress_diagnostics,
 )
-from .relevant import RelevantSlice, dovetail_schedule, relevant_statements
+from .relevant import RelevantSlice, relevant_statements
 
 __all__ = [
     "BootstrapAnalyzer", "BootstrapConfig", "BootstrapResult",
@@ -89,9 +82,11 @@ __all__ = [
     "TraceStep",
     "andersen_refine", "build_payload", "cluster_cost",
     "cluster_fingerprints", "cluster_outcome",
-    "cluster_subprogram", "demand_alias_sets", "greedy_parts", "lpt_parts",
+    "cluster_subprogram", "greedy_parts", "lpt_parts",
     "payload_fingerprint", "resolve_pointer", "schedule_indices",
-    "cascade_summary", "context_count", "dedup_diagnostics",
-    "diagnostics_to_dict", "diagnostics_to_sarif", "dovetail_schedule", "context_sensitivity_gain", "enumerate_contexts", "oneflow_refine", "points_to_by_context", "relevant_statements", "percentile", "render_diagnostics_text", "render_report", "run_cascade", "size_summary",
+    "cascade_summary", "dedup_diagnostics",
+    "diagnostics_to_dict", "diagnostics_to_sarif", "oneflow_refine",
+    "relevant_statements", "percentile", "render_diagnostics_text",
+    "render_report", "run_cascade", "size_summary",
     "select_clusters", "suppress_diagnostics",
 ]

@@ -97,12 +97,6 @@ class CascadeResult:
     def cluster_of(self, pointer: Var) -> List[Cluster]:
         return self.clusters_containing([pointer])
 
-    def cluster_costs(self) -> List[int]:
-        """Per-cluster work estimates in cluster order — the inputs the
-        LPT scheduler balances (see :func:`~.parallel.cluster_cost`)."""
-        from .parallel import cluster_cost
-        return [cluster_cost(c) for c in self.clusters]
-
 
 def run_cascade(program: Program,
                 config: Optional[CascadeConfig] = None,

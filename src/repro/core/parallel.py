@@ -241,10 +241,6 @@ class ParallelReport:
     def statuses(self) -> List[str]:
         return [self.cluster_status(i) for i in range(len(self.results))]
 
-    @property
-    def precisions(self) -> List[str]:
-        return [self.cluster_precision(i) for i in range(len(self.results))]
-
 
 #: The per-cluster task of the run a pool worker was forked for.  Set
 #: only inside workers (by :func:`_init_worker`); the parent never

@@ -13,9 +13,9 @@ program was skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List
 
-from ..ir import Loc, MemObject, Program, Var
+from ..ir import Program, Var
 from .bootstrap import BootstrapResult
 from .clusters import Cluster
 
@@ -96,11 +96,3 @@ def select_clusters(result: BootstrapResult,
         total_pointers=len(result.program.pointers),
     )
 
-
-def demand_alias_sets(result: BootstrapResult, pointers: Sequence[Var],
-                      loc: Loc, context=None) -> dict:
-    """Alias sets for the given pointers, analyzing only their clusters."""
-    out = {}
-    for p in pointers:
-        out[p] = result.alias_set(p, loc, context)
-    return out

@@ -42,7 +42,7 @@ the slice keeps ``x = &a``, ``y = &b`` and ``*x = *y`` but drops
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from ..analysis.steensgaard import SteensgaardResult
 from ..ir import (
@@ -161,27 +161,3 @@ def relevant_statements(program: Program, steens: SteensgaardResult,
     return RelevantSlice(cluster=frozenset(cluster), vp=frozenset(vp),
                          statements=frozenset(statements))
 
-
-def dovetail_schedule(steens: SteensgaardResult,
-                      vp: Iterable[MemObject]
-                      ) -> List[List[FrozenSet[MemObject]]]:
-    """Algorithm 2's processing order for a cluster's tracked set.
-
-    ``V_P`` spans several Steensgaard partitions at different depths; the
-    paper dovetails summary computation with FSCI-alias computation "in
-    non-decreasing order of Steensgaard depth".  This returns ``V_P``'s
-    partitions grouped by depth, shallowest first — the exact order
-    Algorithm 2 iterates (our dataflow-based FSCI computes all depths in
-    one fixpoint, which subsumes the schedule; the function exists so the
-    paper's order is inspectable and testable).
-    """
-    groups: Dict[int, Dict[object, Set[MemObject]]] = {}
-    for obj in vp:
-        depth = steens.depth_of(obj)
-        key = steens._part_of.get(obj, ("t", obj))
-        groups.setdefault(depth, {}).setdefault(key, set()).add(obj)
-    return [
-        [frozenset(members) for _k, members in sorted(
-            groups[depth].items(), key=lambda kv: str(kv[0]))]
-        for depth in sorted(groups)
-    ]

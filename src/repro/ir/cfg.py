@@ -2,8 +2,9 @@
 
 A :class:`CFG` holds one statement per *location*.  Locations are dense
 integer indices local to a function; :class:`Loc` pairs them with the
-function name so they are globally unique and printable (the paper labels
-locations ``1a``, ``2b``, ...; our printer produces similar labels).
+function name so they are globally unique and printable as
+``function:index`` (the paper's ``1a``, ``2b``, ... labels name the same
+points).
 
 Conditional branches carry no predicate: the paper treats all conditionals
 as non-deterministic ("all conditional statements ... are treated as
@@ -14,7 +15,7 @@ successors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .statements import Skip, Statement
 
@@ -170,31 +171,3 @@ class CFG:
         if self._succs[self.exit]:
             raise ValueError("exit node must have no successors")
 
-
-def straight_line(function: str, stmts: Iterable[Statement]) -> CFG:
-    """Build a straight-line CFG from a statement sequence (test helper
-    and building block for the synthetic generator)."""
-    cfg = CFG(function)
-    prev = cfg.entry
-    for stmt in stmts:
-        node = cfg.add_node(stmt)
-        cfg.add_edge(prev, node)
-        prev = node
-    cfg.seal()
-    return cfg
-
-
-def location_labels(cfg: CFG) -> Dict[int, str]:
-    """Paper-style labels (``1a``, ``2a``...) for a CFG's non-synthetic
-    nodes, in node order.  Purely cosmetic; used by the printer."""
-    suffix = "abcdefghijklmnopqrstuvwxyz"[hash(cfg.function) % 26]
-    labels: Dict[int, str] = {}
-    counter = 1
-    for idx in cfg.nodes():
-        stmt = cfg.stmt(idx)
-        if isinstance(stmt, Skip):
-            labels[idx] = f"<{stmt.note or 'skip'}>"
-        else:
-            labels[idx] = f"{counter}{suffix}"
-            counter += 1
-    return labels

@@ -2,7 +2,7 @@
 
 Figure 2 of the paper contrasts the Steensgaard and Andersen points-to
 graphs of one program; these helpers emit the same pictures for any
-program, plus CFG and call-graph dumps for debugging:
+program, plus a call-graph dump for debugging:
 
     python -m repro analyze file.c --dot steensgaard > g.dot
     dot -Tsvg g.dot -o g.svg
@@ -10,11 +10,10 @@ program, plus CFG and call-graph dumps for debugging:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
-from .cfg import CFG
 from .program import Program
-from .statements import MemObject, Skip, Var
+from .statements import MemObject, Var
 
 
 def _quote(text: str) -> str:
@@ -108,27 +107,6 @@ def cutshortcut_dot(result) -> str:
                 src = node(str(repl.rhs))
             lines.append(f"  {src} -> {lhs} "
                          f"[style=dashed, label=\"shortcut\"];")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def cfg_dot(cfg: CFG) -> str:
-    """One function's control-flow graph."""
-    lines = [f"digraph {cfg.function} {{", "  node [shape=box, fontsize=9];"]
-    for idx in cfg.nodes():
-        stmt = cfg.stmt(idx)
-        label = f"{idx}: {stmt}"
-        if isinstance(stmt, Skip) and not stmt.note:
-            label = f"{idx}"
-        shape = ""
-        if idx == cfg.entry:
-            shape = ", style=bold"
-        elif idx == cfg.exit:
-            shape = ", peripheries=2"
-        lines.append(f"  n{idx} [label={_quote(label)}{shape}];")
-    for idx in cfg.nodes():
-        for succ in cfg.successors(idx):
-            lines.append(f"  n{idx} -> n{succ};")
     lines.append("}")
     return "\n".join(lines)
 

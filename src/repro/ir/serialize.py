@@ -1,8 +1,9 @@
 """JSON (de)serialization of IR programs, clusters and slices.
 
-Lets tools cache normalized programs (frontend runs once), ship programs
-between processes for real parallel analysis, and snapshot regression
-inputs.  The format is versioned and round-trips exactly:
+The plain encoding gives whole programs a stable, comparable form (the
+benchmark digests its inputs with it); the wire encoding describes the
+cascade's work units for the summary cache, the daemon's store and the
+fleet's routing.  The format is versioned and round-trips exactly:
 
     data = program_to_dict(prog)
     prog2 = program_from_dict(data)
@@ -12,17 +13,16 @@ Two encodings exist:
 
 * the *plain* dict encoding above, where every ``Var``/``AllocSite``
   appears as an inline ``{"n", "f"}`` / ``{"alloc"}`` dict — verbose but
-  self-contained, the format whole-program dumps use;
+  self-contained;
 * the *wire* encoding (:class:`SymbolTable`, :func:`program_to_wire`,
   :func:`slice_to_wire`, :func:`cluster_to_wire` and their inverses),
   where each distinct symbol is emitted once in a shared table and every
   occurrence is an integer index.  It round-trips the cascade's work
   units — Algorithm 1 slices and :class:`~repro.core.clusters.Cluster`
-  (members, slice, origin, parent provenance) — so the process-pool
-  backend can ship one cluster per task (see
-  :mod:`repro.core.shipping`).  Cluster payloads repeat the same symbols
-  dozens of times, so interning them once per payload is what slims the
-  shipping cost.  All collection fields are emitted in a canonical
+  (members, slice, origin, parent provenance) as one self-contained
+  payload per cluster (see :mod:`repro.core.shipping`).  Cluster
+  payloads repeat the same symbols dozens of times, so interning them
+  once per payload is what keeps them small.  All collection fields are emitted in a canonical
   sorted order, so equal values serialize to byte-identical JSON — the
   summary cache hashes these payloads.  The same encoders run over
   :data:`INLINE` in place of a table to describe a payload's content
@@ -33,7 +33,6 @@ Both encodings share one statement codec, so they cannot drift apart.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from .cfg import CFG, Loc, Span
@@ -227,16 +226,6 @@ def program_from_dict(data: Dict[str, Any]) -> Program:
         functions[name] = fn
     return Program(functions, entry=data["entry"],
                    globals_={_load_var(g) for g in data["globals"]})
-
-
-def save_program(program: Program, path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(program_to_dict(program), handle)
-
-
-def load_program(path: str) -> Program:
-    with open(path, "r") as handle:
-        return program_from_dict(json.load(handle))
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.checkers import (
     run_checkers,
     run_deadlocks,
     run_leaks,
+    run_races,
     run_taint,
 )
 from repro.cli import main
@@ -337,7 +338,7 @@ class TestSuppression:
 class TestDemandDrivenStats:
     def test_clean_program_skips_clusters(self):
         report = check(CLEAN)
-        assert len(report.stats) == 6
+        assert len(report.stats) == 7
         for st in report.stats:
             assert st.clusters_skipped >= 1
             assert st.clusters_selected < st.clusters_total
@@ -470,7 +471,7 @@ class TestOneRunnerAccounting:
     and suppressions for it."""
 
     RUNNERS = {"deadlock": run_deadlocks, "leak": run_leaks,
-               "taint": run_taint}
+               "races": run_races, "taint": run_taint}
 
     @pytest.mark.parametrize("name", sorted(RUNNERS))
     @pytest.mark.parametrize(

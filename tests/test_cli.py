@@ -97,9 +97,48 @@ class TestRaces:
                    "--fail-on-race"])
         assert rc == 1
 
-    def test_threads_required(self, driver_file):
-        with pytest.raises(SystemExit):
-            main(["races", driver_file])
+    def test_threads_required(self, driver_file, capsys):
+        """Races need two thread entries.  Without --threads they default
+        to the functions passed to spawn-like primitives, and this file
+        spawns none, so nothing can race."""
+        assert main(["races", driver_file]) == 0
+        out = capsys.readouterr().out
+        assert "0 race warning(s)" in out
+        assert "thread entries: none found" in out
+
+
+#: Every verb that reads a C FILE, with the operands it needs besides.
+FILE_VERBS = {
+    "analyze": [], "partitions": [], "races": [], "check": [],
+    "taint": [], "leaks": [], "deadlocks": [],
+    "demand": ["--points-to", "p"],
+}
+
+
+class TestBadInput:
+    """Source the frontend rejects and an undefined --entry end every
+    verb with one ``repro: FILE: ...`` line, never a traceback."""
+
+    @pytest.mark.parametrize("verb", sorted(FILE_VERBS))
+    def test_truncated_source(self, verb, tmp_path, capsys):
+        path = tmp_path / "bad.c"
+        path.write_text("int main( { return 0; }\n")
+        with pytest.raises(SystemExit) as exc:
+            main([verb, str(path)] + FILE_VERBS[verb])
+        message = str(exc.value.code)
+        assert message.startswith(f"repro: {path}: ")
+        assert "at 1:11" in message  # the parser's line and column
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", sorted(FILE_VERBS))
+    def test_unknown_entry(self, verb, driver_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, driver_file, "--entry", "nosuch"]
+                 + FILE_VERBS[verb])
+        message = str(exc.value.code)
+        assert message.startswith(f"repro: {driver_file}: ")
+        assert "'nosuch'" in message
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestBenchCommands:

@@ -1,18 +1,9 @@
-"""Calling-context enumeration and per-context queries."""
+"""Per-context queries through the bootstrapped result's facade."""
 
-import pytest
-
-from repro import parse_program
-from repro.core import (
-    BootstrapAnalyzer,
-    context_count,
-    context_sensitivity_gain,
-    enumerate_contexts,
-    points_to_by_context,
-)
+from repro.core import BootstrapAnalyzer
 from repro.ir import Loc, ProgramBuilder, Var
 
-from .helpers import call_chain_program, recursive_program
+from .helpers import call_chain_program
 
 
 def diamond_calls_program():
@@ -33,79 +24,27 @@ def diamond_calls_program():
     return b.build()
 
 
-class TestEnumeration:
-    def test_entry_has_one_context(self):
-        prog = call_chain_program()
-        assert enumerate_contexts(prog, "main") == [("main",)]
-
-    def test_linear_chain(self):
-        prog = call_chain_program()
-        assert enumerate_contexts(prog, "leaf") == \
-            [("main", "mid", "leaf")]
-
-    def test_diamond_two_contexts(self):
-        prog = diamond_calls_program()
-        cons = enumerate_contexts(prog, "shared")
-        assert sorted(cons) == [("main", "a", "shared"),
-                                ("main", "b", "shared")]
-
-    def test_recursion_truncated(self):
-        prog = recursive_program()
-        acyclic = enumerate_contexts(prog, "odd", max_unroll=1)
-        assert acyclic == [("main", "even", "odd")]
-        unrolled = enumerate_contexts(prog, "odd", max_unroll=2)
-        assert ("main", "even", "odd", "even", "odd") in unrolled
-        assert len(unrolled) > len(acyclic)
-
-    def test_limit_enforced(self):
-        prog = recursive_program()
-        with pytest.raises(ValueError):
-            enumerate_contexts(prog, "odd", max_unroll=6, limit=3)
-
-    def test_context_count_map(self):
-        prog = diamond_calls_program()
-        counts = context_count(prog)
-        assert counts["shared"] == 2
-        assert counts["main"] == 1
-
-    def test_exponential_growth_shape(self):
-        """k diamond layers -> 2^k contexts: the paper's blow-up."""
-        b = ProgramBuilder()
-        depth = 5
-        with b.function(f"l{depth}") as f:
-            f.skip()
-        for i in reversed(range(depth)):
-            with b.function(f"l{i}a") as f:
-                f.call(f"l{i+1}" if i + 1 == depth else f"l{i+1}a")
-                if i + 1 < depth:
-                    f.call(f"l{i+1}b")
-            with b.function(f"l{i}b") as f:
-                f.call(f"l{i+1}" if i + 1 == depth else f"l{i+1}a")
-                if i + 1 < depth:
-                    f.call(f"l{i+1}b")
-        with b.function("main") as f:
-            f.call("l0a")
-            f.call("l0b")
-        prog = b.build()
-        counts = context_count(prog)
-        assert counts[f"l{depth}"] >= 2 ** (depth - 1)
-
-
 class TestPerContextQueries:
     def test_contexts_distinguish_values(self):
         prog = diamond_calls_program()
         boot = BootstrapAnalyzer(prog).run()
         loc = Loc("shared", prog.cfg_of("shared").exit)
-        by_con = points_to_by_context(boot, Var("out"), loc)
-        # Per-context sets are singletons; the CI union has both objects.
-        sizes = sorted(len(v) for v in by_con.values())
-        assert sizes == [1, 1]
-        worst, ci = context_sensitivity_gain(boot, Var("out"), loc)
-        assert worst == 1 and ci == 2
+        out = Var("out")
+        # Each calling context sees one object; the context-insensitive
+        # union has both.
+        assert boot.points_to(out, loc, context=["main", "a", "shared"]) \
+            == frozenset({Var("oa", "a")})
+        assert boot.points_to(out, loc, context=["main", "b", "shared"]) \
+            == frozenset({Var("ob", "b")})
+        assert boot.points_to(out, loc) == \
+            frozenset({Var("oa", "a"), Var("ob", "b")})
 
     def test_gain_zero_when_contexts_agree(self):
         prog = call_chain_program()
         boot = BootstrapAnalyzer(prog).run()
         loc = Loc("leaf", prog.cfg_of("leaf").exit)
-        worst, ci = context_sensitivity_gain(boot, Var("lp", "leaf"), loc)
-        assert worst == ci
+        lp = Var("lp", "leaf")
+        # The only context of leaf answers exactly what the
+        # context-insensitive query does.
+        assert boot.points_to(lp, loc, context=["main", "mid", "leaf"]) \
+            == boot.points_to(lp, loc) == frozenset({Var("obj", "main")})

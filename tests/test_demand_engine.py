@@ -564,6 +564,19 @@ class TestRacesCLIParity:
         assert main(args + ["--fail-on-race"]) == 1
         capsys.readouterr()
 
+    def test_unknown_thread_rejected(self, racy_file):
+        with pytest.raises(SystemExit, match="unknown thread"):
+            main(["races", racy_file, "--threads", "nope,t2"])
+
+    def test_ignore_comment_suppresses_race(self, tmp_path, capsys):
+        path = tmp_path / "ignored.c"
+        path.write_text(self.RACY.replace(
+            "g = g + 1; }", "g = g + 1; } // repro:ignore[data-race]"))
+        assert main(["races", str(path), "--threads", "t1,t2",
+                     "--fail-on", "warning"]) == 0
+        out = capsys.readouterr().out
+        assert "0 race warning(s)" in out and "1 suppressed" in out
+
     def test_sarif_output(self, racy_file, tmp_path, capsys):
         out_path = tmp_path / "races.sarif"
         assert main(["races", racy_file, "--threads", "t1,t2",

@@ -1,4 +1,4 @@
-"""Error types, printer labels, and small odds and ends."""
+"""Error types and small odds and ends."""
 
 import pytest
 
@@ -8,9 +8,6 @@ from repro.errors import (
     ParseError,
     ReproError,
 )
-from repro.ir import location_labels
-
-from .helpers import figure2_program
 
 
 class TestErrors:
@@ -33,24 +30,6 @@ class TestErrors:
         assert err.analysis == "engine"
         assert err.steps == 1234
         assert "1234" in str(err)
-
-
-class TestLocationLabels:
-    def test_paper_style_labels(self):
-        cfg = figure2_program().cfg_of("main")
-        labels = location_labels(cfg)
-        real = [l for l in labels.values() if not l.startswith("<")]
-        # Five canonical statements -> 1x..5x with a shared suffix.
-        assert len(real) == 5
-        suffixes = {l[-1] for l in real}
-        assert len(suffixes) == 1
-        assert sorted(int(l[:-1]) for l in real) == [1, 2, 3, 4, 5]
-
-    def test_synthetic_nodes_marked(self):
-        cfg = figure2_program().cfg_of("main")
-        labels = location_labels(cfg)
-        assert labels[cfg.entry].startswith("<")
-        assert labels[cfg.exit].startswith("<")
 
 
 class TestPackageSurface:

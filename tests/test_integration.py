@@ -4,7 +4,7 @@ import pytest
 
 from repro import BootstrapAnalyzer, parse_program
 from repro.analysis import Andersen, Steensgaard, execute, whole_program_fscs
-from repro.applications import RaceDetector
+from repro.checkers import run_races
 from repro.core import BootstrapConfig, CascadeConfig, select_clusters
 from repro.ir import Loc, Var
 
@@ -86,8 +86,8 @@ class TestDeviceDriver:
         assert sel.pointer_fraction < 1.0
 
     def test_race_detector_runs_clean(self, program):
-        warnings = RaceDetector(program,
-                                ["dev_open", "dev_write"]).run()
+        warnings = run_races(program,
+                             thread_entries=["dev_open", "dev_write"]).value
         # open_count is touched only under the lock from both entries.
         assert not any("open_count" in str(w) for w in warnings)
 

@@ -22,10 +22,21 @@ from repro.ir import (
     is_canonical,
     param_var,
     retval_var,
-    straight_line,
 )
 
 from .helpers import figure2_program
+
+
+def straight_line(function, stmts):
+    """A sealed CFG running ``stmts`` in order."""
+    cfg = CFG(function)
+    prev = cfg.entry
+    for stmt in stmts:
+        node = cfg.add_node(stmt)
+        cfg.add_edge(prev, node)
+        prev = node
+    cfg.seal()
+    return cfg
 
 
 class TestStatements:

@@ -171,56 +171,3 @@ class TestSliceEquivalence:
         for m in (a, b):
             assert full.points_to(m) == red.points_to(m)
 
-
-class TestDovetailSchedule:
-    """Algorithm 2's depth-ordered processing of V_P."""
-
-    def test_depths_non_decreasing(self):
-        from repro.core import dovetail_schedule
-        prog = figure3_program()
-        steens = Steensgaard(prog).run()
-        a, b = v("a", "main"), v("b", "main")
-        sl = relevant_statements(prog, steens, {a, b})
-        schedule = dovetail_schedule(steens, sl.vp)
-        depths = [steens.depth_of(next(iter(group[0])))
-                  for group in schedule]
-        assert depths == sorted(depths)
-
-    def test_groups_are_partitions(self):
-        from repro.core import dovetail_schedule
-        prog = figure3_program()
-        steens = Steensgaard(prog).run()
-        a, b = v("a", "main"), v("b", "main")
-        sl = relevant_statements(prog, steens, {a, b})
-        schedule = dovetail_schedule(steens, sl.vp)
-        for level in schedule:
-            for group in level:
-                first = next(iter(group))
-                assert all(steens.same_partition(first, m) for m in group)
-
-    def test_covers_vp(self):
-        from repro.core import dovetail_schedule
-        prog = figure5_program()
-        steens = Steensgaard(prog).run()
-        from repro.ir import Var
-        p1 = steens.partition_of(Var("x"))
-        sl = relevant_statements(prog, steens, p1)
-        schedule = dovetail_schedule(steens, sl.vp)
-        covered = set()
-        for level in schedule:
-            for group in level:
-                covered |= group
-        assert covered == sl.vp
-
-    def test_figure3_order(self):
-        """Pointers of {p,x}-depth (0) come before {a,b,t} (depth 1)."""
-        from repro.core import dovetail_schedule
-        prog = figure3_program()
-        steens = Steensgaard(prog).run()
-        a, b = v("a", "main"), v("b", "main")
-        sl = relevant_statements(prog, steens, {a, b})
-        schedule = dovetail_schedule(steens, sl.vp)
-        first_level = set().union(*schedule[0])
-        assert v("x", "main") in first_level or v("y", "main") in first_level
-        last_level = set().union(*schedule[-1])
-        assert a in last_level

@@ -8,7 +8,7 @@ from repro import parse_program
 from repro.analysis import Andersen, Steensgaard
 from repro.cli import main
 from repro.core import BootstrapAnalyzer, cascade_summary, render_report
-from repro.ir import andersen_dot, callgraph_dot, cfg_dot, steensgaard_dot
+from repro.ir import andersen_dot, callgraph_dot, steensgaard_dot
 
 from .helpers import figure2_program, figure5_program
 
@@ -43,12 +43,6 @@ class TestDot:
         q_edges = [l for l in text.splitlines()
                    if l.strip().startswith('"main::q" ->')]
         assert len(q_edges) == 3
-
-    def test_cfg_dot(self):
-        prog = figure2_program()
-        text = cfg_dot(prog.cfg_of("main"))
-        assert "digraph main" in text
-        assert "peripheries=2" in text  # the exit node
 
     def test_callgraph_dot_marks_indirect(self):
         prog = parse_program("""

@@ -15,10 +15,8 @@ from repro.ir import (
     cluster_to_wire,
     decode_symbols,
     format_program,
-    load_program,
     program_from_dict,
     program_to_dict,
-    save_program,
     slice_from_wire,
     slice_to_wire,
 )
@@ -57,13 +55,6 @@ class TestRoundTrip:
     def test_json_serializable(self):
         data = program_to_dict(figure5_program())
         json.loads(json.dumps(data))
-
-    def test_file_round_trip(self, tmp_path):
-        prog = figure2_program()
-        path = str(tmp_path / "prog.json")
-        save_program(prog, path)
-        again = load_program(path)
-        assert format_program(again) == format_program(prog)
 
     def test_frontend_program_round_trips(self):
         prog = sources.load("char_device")

@@ -246,6 +246,20 @@ class TestQueries:
         assert {c["checker"] for c in result["checkers"]} \
             == {st.checker for st in report.stats}
 
+    def test_race_diagnostics_match_repro_check(self, server, capsys):
+        path = os.path.abspath(os.path.join(
+            os.path.dirname(__file__), os.pardir, "examples",
+            "race_demo.c"))
+        result = result_of(server, "diagnostics", file=path,
+                           checkers=["races"])
+        from repro.cli import main
+        assert main(["check", path, "--checkers", "races",
+                     "--json"]) == 0
+        one_shot = json.loads(capsys.readouterr().out)
+        assert one_shot  # the demo's seeded race
+        assert result["diagnostics"] == one_shot
+        assert [c["checker"] for c in result["checkers"]] == ["races"]
+
     def test_diagnostics_unknown_checker(self, server, demo_file):
         error = error_of(server, "diagnostics", file=demo_file,
                          checkers=["nope"])

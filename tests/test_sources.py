@@ -3,8 +3,9 @@
 import pytest
 
 from repro.analysis import Andersen, Steensgaard, execute, whole_program_fscs
-from repro.applications import RaceDetector, lock_pointers
+from repro.applications import lock_pointers
 from repro.bench import sources
+from repro.checkers import run_races
 from repro.core import BootstrapAnalyzer, run_cascade
 from repro.ir import AllocSite, Loc, Var
 
@@ -50,8 +51,9 @@ class TestCharDevice:
             frozenset({Var("cdev_lock_obj")})
 
     def test_race_free_under_lock(self, programs):
-        warnings = RaceDetector(programs["char_device"],
-                                ["cdev_read", "cdev_write"]).run()
+        warnings = run_races(programs["char_device"],
+                             thread_entries=["cdev_read",
+                                             "cdev_write"]).value
         assert not any("open_count" in str(w) for w in warnings)
 
 
@@ -86,13 +88,15 @@ class TestSlabCache:
 
 class TestEventQueue:
     def test_deliberate_race_found(self, programs):
-        warnings = RaceDetector(programs["event_queue"],
-                                ["producer", "consumer"]).run()
+        warnings = run_races(programs["event_queue"],
+                             thread_entries=["producer",
+                                             "consumer"]).value
         assert any("processed_count" in str(w) for w in warnings)
 
     def test_locked_counter_clean(self, programs):
-        warnings = RaceDetector(programs["event_queue"],
-                                ["producer", "consumer"]).run()
+        warnings = run_races(programs["event_queue"],
+                             thread_entries=["producer",
+                                             "consumer"]).value
         assert not any("pending_count" in str(w) for w in warnings)
 
     def test_arg_points_to_payload(self, programs):
