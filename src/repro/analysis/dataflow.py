@@ -1,4 +1,4 @@
-"""A small interprocedural dataflow framework.
+"""A small interprocedural dataflow framework over dense node ids.
 
 The FSCI stage (paper Algorithm 3 computes the same information
 demand-style) is a forward may analysis over the *supergraph*: each
@@ -7,42 +7,69 @@ edges (callee exit -> call-node successors).  Running it over a cluster's
 sliced statement set keeps the state tiny; the unclustered baseline runs
 it over everything and is exactly the slow configuration Table 1 reports.
 
-The framework is deliberately minimal: clients provide transfer and join
-over an opaque state type.
+Every supergraph node gets a dense integer id, numbered once per graph:
+the included functions are laid out in sorted order, and a node's id is
+its function's offset plus its CFG index, so ids do not depend on the
+hash seed.  Successors are int lists and :class:`ForwardDataflow` keeps
+its states in node-indexed lists, so the worklist loop hashes no
+:class:`~repro.ir.Loc`.  ``Loc`` stays the currency at the boundary:
+``state_before``/``state_after`` and ``Supergraph.successors``,
+``predecessors`` and ``nodes`` take and return locations.
+
+Clients provide transfer and join over an opaque state type.  A
+transfer is either a function of ``(loc, stmt, state)``, bound once per
+node, or a node-indexed table of ``state -> state`` closures that FSCI
+compiles itself (``None`` entries are skips).  The dict-keyed engine
+this one replaced survives in :mod:`.reference` as the oracle of
+``tests/test_dataflow_kernel.py``.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import (
     Callable,
     Dict,
     Generic,
-    Hashable,
     Iterable,
     List,
     Optional,
-    Set,
+    Sequence,
     Tuple,
     TypeVar,
+    Union,
 )
 
 from ..ir import CallStmt, Loc, Program, Statement
 
 State = TypeVar("State")
 
-#: A supergraph node is simply a global location.
-Node = Loc
+#: A supergraph node is a dense integer id (see :class:`Supergraph`).
+Node = int
+
+#: A compiled per-node transfer; ``None`` behaves as a skip.
+NodeOp = Optional[Callable[[State], State]]
+
+#: A location-level transfer: ``(loc, stmt, state) -> state``.
+Transfer = Callable[[Loc, Statement, State], State]
+
+#: Marks a node whose state was never set ("not in the map").
+_UNSET = object()
 
 
 class Supergraph:
     """Interprocedural CFG: intra edges + call/return edges.
 
-    Only functions reachable from the entry are included.  Calls to
+    Only the given functions (default: all) are included.  Calls to
     unknown targets (unresolved function pointers with no candidates)
-    fall through to the call node's intraprocedural successors, which is
-    sound under our convention that argument copies are explicit caller
-    statements.
+    and to excluded functions fall through to the call node's
+    intraprocedural successors, which is sound under our convention that
+    argument copies are explicit caller statements.
+
+    Node ``i`` of function ``f`` has id ``offset(f) + i``.  When the
+    program's entry function is excluded, its entry node still gets one
+    id past the end, with no edges, so a solve visits it exactly once.
     """
 
     def __init__(self, program: Program,
@@ -50,125 +77,214 @@ class Supergraph:
         self.program = program
         names = set(functions) if functions is not None else set(program.functions)
         #: The included functions, sorted — the canonical deterministic
-        #: iteration order for clients walking the graph's statements.
+        #: iteration order, and the node layout.
         self.names: List[str] = sorted(names)
-        self._succs: Dict[Loc, List[Loc]] = {}
-        self._preds: Dict[Loc, List[Loc]] = {}
-        self.entry = Loc(program.entry, program.cfg_of(program.entry).entry)
-        # Sorted for determinism: node order must not depend on the set's
-        # hash-seeded iteration order, or worker processes (with their own
-        # PYTHONHASHSEED) would traverse the supergraph differently than
-        # the parent.
+        #: Function -> (first node id, node count).
+        self._layout: Dict[str, Tuple[int, int]] = {}
+        #: Node id -> statement.
+        self.stmts: List[Statement] = []
+        for name in self.names:
+            stmts = program.cfg_of(name)._stmts
+            self._layout[name] = (len(self.stmts), len(stmts))
+            self.stmts.extend(stmts)
+        #: Ids below this belong to included functions.
+        self.function_nodes = len(self.stmts)
+        entry_cfg = program.cfg_of(program.entry)
+        self.entry = Loc(program.entry, entry_cfg.entry)
+        if program.entry in self._layout:
+            self.entry_id: Node = self._layout[program.entry][0] + entry_cfg.entry
+        else:
+            self.entry_id = len(self.stmts)
+            self.stmts.append(entry_cfg.stmt(entry_cfg.entry))
+        self._succs: List[List[Node]] = [None] * len(self.stmts)  # type: ignore[list-item]
+        self._preds: Optional[List[List[Node]]] = None
+        self._locs: Optional[List[Loc]] = None
+        self._build_edges()
+
+    def _build_edges(self) -> None:
+        succs = self._succs
+        layout = self._layout
+        program = self.program
         for name in self.names:
             cfg = program.cfg_of(name)
-            for idx, stmt in cfg.statements():
-                loc = Loc(name, idx)
-                succs: List[Loc] = []
+            base = layout[name][0]
+            cfg_succs = cfg._succs
+            for idx, stmt in enumerate(cfg._stmts):
+                own = [base + s for s in cfg_succs[idx]]
                 if isinstance(stmt, CallStmt):
-                    targets = [t for t in stmt.targets
-                               if t in program.functions and t in names]
-                    for t in targets:
-                        callee_cfg = program.cfg_of(t)
-                        succs.append(Loc(t, callee_cfg.entry))
+                    called = []
+                    for t in stmt.targets:
+                        if t not in layout:
+                            continue
+                        callee = program.cfg_of(t)
+                        callee_base = layout[t][0]
+                        called.append(callee_base + callee.entry)
                         # Return edge: callee exit -> call's successors.
-                        exit_loc = Loc(t, callee_cfg.exit)
-                        rets = self._succs.setdefault(exit_loc, [])
-                        for s in cfg.successors(idx):
-                            ret = Loc(name, s)
+                        rets = succs[callee_base + callee.exit]
+                        if rets is None:
+                            rets = succs[callee_base + callee.exit] = []
+                        for ret in own:
                             if ret not in rets:
                                 rets.append(ret)
-                    if not targets:
-                        succs.extend(Loc(name, s) for s in cfg.successors(idx))
-                else:
-                    succs.extend(Loc(name, s) for s in cfg.successors(idx))
-                existing = self._succs.setdefault(loc, [])
-                for s in succs:
+                    if called:
+                        own = called
+                existing = succs[base + idx]
+                if existing is None:
+                    # A CFG's edge lists hold no duplicates; call targets
+                    # may (one callee named twice).
+                    if len(own) > 1 and len(set(own)) < len(own):
+                        own = list(dict.fromkeys(own))
+                    succs[base + idx] = own
+                    continue
+                for s in own:
                     if s not in existing:
                         existing.append(s)
-        for src, dsts in self._succs.items():
-            for d in dsts:
-                self._preds.setdefault(d, []).append(src)
+        if succs[-1] is None:
+            succs[-1] = []  # the excluded entry's node
 
+    # -- node ids --------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.stmts)
+
+    def node_of(self, loc: Loc) -> Optional[Node]:
+        """The id of ``loc``, or ``None`` when it is not in the graph."""
+        span = self._layout.get(loc.function)
+        if span is None:
+            return self.entry_id if loc == self.entry else None
+        if 0 <= loc.index < span[1]:
+            return span[0] + loc.index
+        return None
+
+    @property
+    def locs(self) -> List[Loc]:
+        """Node id -> location, built on first use."""
+        if self._locs is None:
+            locs = [Loc(name, idx) for name in self.names
+                    for idx in range(self._layout[name][1])]
+            if len(locs) < len(self.stmts):
+                locs.append(self.entry)
+            self._locs = locs
+        return self._locs
+
+    def bind(self, transfer: Transfer) -> List[NodeOp]:
+        """A location-level transfer as a node-indexed table."""
+        return [partial(transfer, loc, stmt)
+                for loc, stmt in zip(self.locs, self.stmts)]
+
+    # -- the Loc API -----------------------------------------------------
     def successors(self, loc: Loc) -> List[Loc]:
-        return self._succs.get(loc, [])
+        node = self.node_of(loc)
+        if node is None:
+            return []
+        locs = self.locs
+        return [locs[s] for s in self._succs[node]]
 
     def predecessors(self, loc: Loc) -> List[Loc]:
-        return self._preds.get(loc, [])
+        node = self.node_of(loc)
+        if node is None:
+            return []
+        if self._preds is None:
+            preds: List[List[Node]] = [[] for _ in self.stmts]
+            for src, dsts in enumerate(self._succs):
+                for d in dsts:
+                    preds[d].append(src)
+            self._preds = preds
+        locs = self.locs
+        return [locs[p] for p in self._preds[node]]
 
     def nodes(self) -> List[Loc]:
-        seen: Set[Loc] = set()
-        out: List[Loc] = []
-        for loc in self._succs:
-            if loc not in seen:
-                seen.add(loc)
-                out.append(loc)
-        for loc in self._preds:
-            if loc not in seen:
-                seen.add(loc)
-                out.append(loc)
-        return out
+        """Every location of the included functions, in id order."""
+        return self.locs[:self.function_nodes]
 
 
 class ForwardDataflow(Generic[State]):
     """Worklist forward fixpoint over a supergraph.
 
-    ``transfer(loc, stmt, state)`` must return a *new* state (states are
-    treated as immutable); ``join`` combines predecessor outputs;
-    ``initial`` is the entry fact; states compare with ``==``.
+    ``transfer`` is either ``transfer(loc, stmt, state)``, which must
+    return a *new* state (states are treated as immutable), or a
+    node-indexed list of ``state -> state`` closures (``None`` = skip).
+    ``join`` combines predecessor outputs and has ``bottom`` as its
+    identity; ``initial`` is the entry fact; states compare with
+    ``==``.  The worklist is LIFO over node ids and pushes successors in
+    edge order.
     """
 
     def __init__(
         self,
         graph: Supergraph,
-        transfer: Callable[[Loc, Statement, State], State],
+        transfer: Union[Transfer, Sequence[NodeOp]],
         join: Callable[[State, State], State],
         initial: State,
         bottom: State,
     ) -> None:
         self.graph = graph
-        self.transfer = transfer
+        self.ops: Sequence[NodeOp] = (
+            graph.bind(transfer) if callable(transfer) else transfer)
         self.join = join
         self.initial = initial
         self.bottom = bottom
-        self._in: Dict[Loc, State] = {}
-        self._out: Dict[Loc, State] = {}
+        self._in: List[object] = [_UNSET] * len(graph)
+        self._out: List[object] = [_UNSET] * len(graph)
         self.iterations = 0
 
     def run(self, max_iterations: Optional[int] = None,
             deadline: Optional[float] = None) -> None:
         """Run to fixpoint; ``deadline`` is an absolute time.monotonic()
         value standing in for the paper's wall-clock timeout."""
-        program = self.graph.program
-        self._in[self.graph.entry] = self.initial
-        worklist: List[Loc] = [self.graph.entry]
-        queued: Set[Loc] = {self.graph.entry}
-        while worklist:
-            loc = worklist.pop()
-            queued.discard(loc)
-            self.iterations += 1
-            if max_iterations is not None and self.iterations > max_iterations:
-                raise TimeoutError(
-                    f"dataflow exceeded {max_iterations} iterations")
-            if deadline is not None and self.iterations % 256 == 0 \
-                    and time.monotonic() > deadline:
-                raise TimeoutError("dataflow exceeded its deadline")
-            in_state = self._in.get(loc, self.bottom)
-            stmt = program.stmt_at(loc)
-            out_state = self.transfer(loc, stmt, in_state)
-            if loc in self._out and self._out[loc] == out_state:
-                continue
-            self._out[loc] = out_state
-            for succ in self.graph.successors(loc):
-                old = self._in.get(succ, self.bottom)
-                new = self.join(old, out_state)
-                if succ not in self._in or new != old:
-                    self._in[succ] = new
-                    if succ not in queued:
-                        queued.add(succ)
+        succs = self.graph._succs
+        ops = self.ops
+        join = self.join
+        ins, outs = self._in, self._out
+        entry = self.graph.entry_id
+        ins[entry] = self.initial
+        worklist: List[Node] = [entry]
+        queued = bytearray(len(ins))
+        queued[entry] = 1
+        iterations = self.iterations
+        try:
+            while worklist:
+                node = worklist.pop()
+                queued[node] = 0
+                iterations += 1
+                if max_iterations is not None and iterations > max_iterations:
+                    raise TimeoutError(
+                        f"dataflow exceeded {max_iterations} iterations")
+                if deadline is not None and not iterations & 255 \
+                        and time.monotonic() > deadline:
+                    raise TimeoutError("dataflow exceeded its deadline")
+                in_state = ins[node]  # set before the node was queued
+                op = ops[node]
+                out_state = op(in_state) if op is not None else in_state
+                prev = outs[node]
+                if prev is out_state or (prev is not _UNSET
+                                         and prev == out_state):
+                    continue
+                outs[node] = out_state
+                for succ in succs[node]:
+                    old = ins[succ]
+                    if old is _UNSET:
+                        ins[succ] = out_state  # join(bottom, out_state)
+                    else:
+                        new = join(old, out_state)
+                        if new is old or new == old:
+                            continue
+                        ins[succ] = new
+                    if not queued[succ]:
+                        queued[succ] = 1
                         worklist.append(succ)
+        finally:
+            self.iterations = iterations
 
     def state_before(self, loc: Loc) -> State:
-        return self._in.get(loc, self.bottom)
+        node = self.graph.node_of(loc)
+        state = self._in[node] if node is not None else _UNSET
+        return self.bottom if state is _UNSET else state  # type: ignore[return-value]
 
     def state_after(self, loc: Loc) -> State:
-        return self._out.get(loc, self.bottom)
+        node = self.graph.node_of(loc)
+        state = self._out[node] if node is not None else _UNSET
+        return self.bottom if state is _UNSET else state  # type: ignore[return-value]
+
+    def states_after(self) -> List[State]:
+        """Every out-state the solve set, in node order."""
+        return [s for s in self._out if s is not _UNSET]  # type: ignore[misc]

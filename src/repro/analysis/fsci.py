@@ -28,9 +28,12 @@ caught).  NULL is explicit (:data:`NULL_BIT`) for the same reason: an
 empty set would vanish in joins and turn "v4 or NULL" into a fake
 must-fact.
 
-States are solved on the bitmask kernel (:mod:`.kernel`);
-:class:`~.reference.ReferenceFSCI`, the same fixpoint over frozensets,
-is the oracle the differential suites compare it against.
+States are solved on the bitmask kernel (:mod:`.kernel`) over the
+dense node ids of :mod:`.dataflow`: each node's transfer is compiled
+once into a node-indexed table of closures, so a solve hashes no
+``Loc``.  :class:`~.reference.ReferenceFSCI`, the same fixpoint over
+frozensets on the ``Loc``-keyed engine, is the oracle the differential
+suites compare it against, state by state and iteration by iteration.
 """
 
 from __future__ import annotations
@@ -76,6 +79,9 @@ _RESERVED = 2
 
 #: A kernel state (mask-valued); ``None`` is still lattice bottom.
 MaskState = Dict[int, int]
+
+#: A compiled transfer over mask states.
+MaskOp = Callable[[MaskState], MaskState]
 
 
 def _join_kernel(a: Optional[MaskState],
@@ -226,7 +232,7 @@ class FSCIResult(PointsToResult):
     def points_to(self, p: Var) -> FrozenSet[MemObject]:
         if self._summary is None:
             acc: Dict[int, int] = {}
-            for state in self._engine._out.values():
+            for state in self._engine.states_after():
                 if state is None:
                     continue
                 for k, v in state.items():
@@ -239,6 +245,16 @@ class FSCIResult(PointsToResult):
     @property
     def iterations(self) -> int:
         return self._engine.iterations
+
+
+def slice_functions(program: Program, callgraph: CallGraph,
+                    relevant: Iterable[Loc]) -> Set[str]:
+    """The functions a sliced FSCI solves on: every function from which
+    a relevant statement is reachable, plus the entry.  The others are
+    transparent to the slice's state."""
+    functions = callgraph.ancestors_of({loc.function for loc in relevant})
+    functions.add(program.entry)
+    return functions
 
 
 class FSCI(PointerAnalysis):
@@ -293,74 +309,64 @@ class FSCI(PointerAnalysis):
         return obj.function is None or obj.function not in self._recursive
 
     def run(self) -> FSCIResult:
-        """Solve with per-location transfer closures over mask states."""
+        """Solve over the node-indexed table of mask transfers."""
         graph = Supergraph(self.program, functions=self._functions)
         table = NodeTable(reserved=_RESERVED)
-        ops = self._compile_kernel(graph, table)
-
-        def transfer(loc: Loc, stmt: Statement,
-                     state: MaskState) -> MaskState:
-            f = ops.get(loc)
-            return f(state) if f is not None else state
-
         engine: ForwardDataflow[Optional[MaskState]] = ForwardDataflow(
-            graph, transfer, _join_kernel, initial={}, bottom=BOTTOM)
+            graph, self._compile_kernel(graph, table), _join_kernel,
+            initial={}, bottom=BOTTOM)
         engine.run(max_iterations=self._max_iterations,
                    deadline=self._deadline)
         return FSCIResult(engine, set(self.program.pointers), table)
 
     def _compile_kernel(self, graph: Supergraph, table: NodeTable
-                        ) -> Dict[Loc, Callable[[MaskState], MaskState]]:
-        """Intern every operand of the graph's statements (statement
-        order, hence hash-seed independent) and compile each location's
-        transfer function to a closure over mask states.  Locations with
-        no entry are skips — sliced-out assigns, calls, frees."""
-        stmts = []
-        for name in graph.names:
-            cfg = self.program.cfg_of(name)
-            for idx, stmt in cfg.statements():
-                stmts.append((Loc(name, idx), stmt))
+                        ) -> List[Optional[MaskOp]]:
+        """Intern every operand of the graph's statements (node order,
+        hence hash-seed independent) and compile each node's transfer to
+        a closure over mask states.  ``None`` entries are skips:
+        sliced-out assigns, calls, frees."""
+        ops: List[Optional[MaskOp]] = [None] * len(graph)
+        kept: Optional[Set[int]] = None
+        if self._relevant is not None:
+            kept = set(map(graph.node_of, self._relevant))
+        # Per-id gates, grown as operands are interned.
+        tracked_arr: List[bool] = []
+        strong_arr: List[bool] = []
         intern = table.intern
-        for _loc, stmt in stmts:
-            if isinstance(stmt, (Copy, Load, Store)):
-                intern(stmt.lhs)
-                intern(stmt.rhs)
-            elif isinstance(stmt, AddrOf):
-                intern(stmt.lhs)
-                intern(stmt.target)
-            elif isinstance(stmt, NullAssign):
-                intern(stmt.lhs)
-            elif isinstance(stmt, Assume):
-                intern(stmt.lhs)
-                if stmt.rhs is not None:
-                    intern(stmt.rhs)
-        # Per-id gates (every id a mask can ever hold was interned above,
-        # so these arrays are complete).
-        tracked_arr = [self._is_tracked(table.obj_of(i))
-                       for i in range(len(table))]
-        strong_arr = [tracked_arr[i] and self._strong_updatable(table.obj_of(i))
-                      for i in range(len(table))]
-        ops: Dict[Loc, Callable[[MaskState], MaskState]] = {}
-        relevant = self._relevant
-        for loc, stmt in stmts:
-            if relevant is not None and loc not in relevant \
-                    and stmt.is_pointer_assign:
+        for node, stmt in enumerate(graph.stmts[:graph.function_nodes]):
+            kind = type(stmt)
+            if kind is Copy or kind is Load or kind is Store:
+                li, ri = intern(stmt.lhs), intern(stmt.rhs)
+            elif kind is AddrOf:
+                li, ri = intern(stmt.lhs), intern(stmt.target)
+            elif kind is NullAssign:
+                li, ri = intern(stmt.lhs), -1
+            elif kind is Assume:
+                li = intern(stmt.lhs)
+                ri = intern(stmt.rhs) if stmt.rhs is not None else -1
+            else:
                 continue
-            op = self._compile_stmt(stmt, table, tracked_arr, strong_arr)
-            if op is not None:
-                ops[loc] = op
+            for i in range(len(tracked_arr), len(table)):
+                obj = table.obj_of(i)
+                tracked_arr.append(self._is_tracked(obj))
+                strong_arr.append(tracked_arr[i]
+                                  and self._strong_updatable(obj))
+            if kept is not None and kind is not Assume and node not in kept:
+                continue  # sliced out of St_P
+            ops[node] = self._compile_stmt(stmt, li, ri, tracked_arr,
+                                           strong_arr)
         return ops
 
-    def _compile_stmt(self, stmt: Statement, table: NodeTable,
+    @staticmethod
+    def _compile_stmt(stmt: Statement, li: int, ri: int,
                       tracked_arr: List[bool], strong_arr: List[bool]
-                      ) -> Optional[Callable[[MaskState], MaskState]]:
-        """One statement's mask transfer; ``None`` means "behaves as a
+                      ) -> Optional[MaskOp]:
+        """One statement's mask transfer over operand ids ``li`` and
+        ``ri`` (``-1`` when absent); ``None`` means "behaves as a
         skip"."""
-        intern = table.intern
         if isinstance(stmt, Copy):
-            if not self._is_tracked(stmt.lhs):
+            if not tracked_arr[li]:
                 return None
-            li, ri = intern(stmt.lhs), intern(stmt.rhs)
 
             def op_copy(state: MaskState, li: int = li,
                         ri: int = ri) -> MaskState:
@@ -369,10 +375,9 @@ class FSCI(PointerAnalysis):
                 return out
             return op_copy
         if isinstance(stmt, AddrOf):
-            if not self._is_tracked(stmt.lhs):
+            if not tracked_arr[li]:
                 return None
-            li = intern(stmt.lhs)
-            tbit = 1 << (_RESERVED + intern(stmt.target))
+            tbit = 1 << (_RESERVED + ri)
 
             def op_addr(state: MaskState, li: int = li,
                         tbit: int = tbit) -> MaskState:
@@ -381,9 +386,8 @@ class FSCI(PointerAnalysis):
                 return out
             return op_addr
         if isinstance(stmt, Load):
-            if not self._is_tracked(stmt.lhs):
+            if not tracked_arr[li]:
                 return None
-            li, ri = intern(stmt.lhs), intern(stmt.rhs)
 
             def op_load(state: MaskState, li: int = li,
                         ri: int = ri) -> MaskState:
@@ -401,8 +405,6 @@ class FSCI(PointerAnalysis):
                 return out
             return op_load
         if isinstance(stmt, Store):
-            li, ri = intern(stmt.lhs), intern(stmt.rhs)
-
             def op_store(state: MaskState, li: int = li,
                          ri: int = ri) -> MaskState:
                 targets = state.get(li, UNINIT_BIT)
@@ -428,9 +430,8 @@ class FSCI(PointerAnalysis):
                 return out
             return op_store
         if isinstance(stmt, NullAssign):
-            if not self._is_tracked(stmt.lhs):
+            if not tracked_arr[li]:
                 return None
-            li = intern(stmt.lhs)
 
             def op_null(state: MaskState, li: int = li) -> MaskState:
                 out = dict(state)
@@ -438,9 +439,8 @@ class FSCI(PointerAnalysis):
                 return out
             return op_null
         if isinstance(stmt, Assume):
-            li = intern(stmt.lhs)
-            lt = self._is_tracked(stmt.lhs)
-            if stmt.rhs is None:
+            lt = tracked_arr[li]
+            if ri < 0:
                 if not lt:
                     return None
                 eq = stmt.equal
@@ -457,8 +457,7 @@ class FSCI(PointerAnalysis):
                     out[li] = keep
                     return out
                 return op_assume_null
-            ri = intern(stmt.rhs)
-            rt = self._is_tracked(stmt.rhs)
+            rt = tracked_arr[ri]
             if not stmt.equal or not (lt or rt):
                 return None  # != refines nothing set-wise, in general
 

@@ -32,7 +32,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from ..errors import AnalysisBudgetExceeded
 from ..ir import CallGraph, CallStmt, Loc, MemObject, Program, Var
 from .constraints import TRUE, Constraint, merge
-from .fsci import FSCI, FSCIResult
+from .fsci import FSCI, FSCIResult, slice_functions
 from .summaries import (
     AddrTerm,
     DerefTerm,
@@ -100,9 +100,8 @@ class ClusterFSCS:
         if self._fsci is None:
             functions = None
             if self.relevant is not None:
-                relevant_funcs = {loc.function for loc in self.relevant}
-                functions = self.callgraph.ancestors_of(relevant_funcs)
-                functions.add(self.program.entry)
+                functions = slice_functions(self.program, self.callgraph,
+                                            self.relevant)
             self._fsci = FSCI(self.program, tracked=self.tracked,
                               relevant=self.relevant, functions=functions,
                               max_iterations=self._max_fsci_iterations,

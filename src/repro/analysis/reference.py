@@ -9,7 +9,10 @@ implementations of the same three fixpoints:
   periodic SCC collapse over ``Set[MemObject]`` points-to sets;
 * :class:`ReferenceFSCI` — the forward dataflow over frozenset states,
   with explicit :data:`UNINIT` / :data:`NULL_VALUE` sentinels, answering
-  through :class:`ReferenceFSCIResult`;
+  through :class:`ReferenceFSCIResult`.  It runs on
+  :class:`ReferenceDataflow` over a :class:`ReferenceSupergraph`, the
+  ``Loc``-keyed engine :mod:`.dataflow` had before it numbered nodes,
+  so the FSCI differential compares two independent engines;
 * :class:`ReferenceSummaryEngine` — Algorithms 4 and 5 over
   :class:`~.summaries.Term` objects and :data:`~.constraints.Constraint`
   frozensets, re-deriving every inverse transfer and satisfiability
@@ -20,8 +23,9 @@ stands alone with the kernel engine's public API.  Each returns results
 that must match its kernel accessor by accessor (the summary engine's
 ``steps`` aside, which count a different worklist order).  The
 differential suites (``tests/test_kernel.py``,
-``tests/test_summary_kernel.py``, and per corpus program in
-``tests/test_parallel_diff.py``) enforce that, and
+``tests/test_summary_kernel.py``, ``tests/test_dataflow_kernel.py``,
+and per corpus program in ``tests/test_parallel_diff.py``) enforce
+that, and
 ``python -m repro.bench.profile_solvers --gate BENCH_kernel.json`` times
 the kernels against these solvers.  The gate compares the
 kernel/reference time ratio with the committed baseline, so any change
@@ -32,7 +36,18 @@ only the tests and the solver bench do.
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Generic,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from ..errors import AnalysisBudgetExceeded
 from ..ir import (
@@ -61,7 +76,6 @@ from .constraints import (
     points_to_atom,
     same_object_atom,
 )
-from .dataflow import ForwardDataflow, Supergraph
 from .fsci import BOTTOM, EMPTY, FSCI, FSCIResult
 from .summaries import (
     AddrTerm,
@@ -258,6 +272,155 @@ class ReferenceAndersen(Andersen):
             delta.setdefault(key, set()).update(val)
 
 
+# -- the Loc-keyed dataflow engine ---------------------------------------
+#
+# :mod:`.dataflow` before it numbered supergraph nodes: states, worklist
+# entries and successor lists keyed by ``Loc``.  It backs only
+# :class:`ReferenceFSCI`, so the differential suites compare two
+# independent engines.
+
+State = TypeVar("State")
+
+
+class ReferenceSupergraph:
+    """Interprocedural CFG: intra edges + call/return edges.
+
+    Only functions reachable from the entry are included.  Calls to
+    unknown targets (unresolved function pointers with no candidates)
+    fall through to the call node's intraprocedural successors, which is
+    sound under our convention that argument copies are explicit caller
+    statements.
+    """
+
+    def __init__(self, program: Program,
+                 functions: Optional[Iterable[str]] = None) -> None:
+        self.program = program
+        names = set(functions) if functions is not None else set(program.functions)
+        #: The included functions, sorted — the canonical deterministic
+        #: iteration order for clients walking the graph's statements.
+        self.names: List[str] = sorted(names)
+        self._succs: Dict[Loc, List[Loc]] = {}
+        self._preds: Dict[Loc, List[Loc]] = {}
+        self.entry = Loc(program.entry, program.cfg_of(program.entry).entry)
+        # Sorted for determinism: node order must not depend on the set's
+        # hash-seeded iteration order, or worker processes (with their own
+        # PYTHONHASHSEED) would traverse the supergraph differently than
+        # the parent.
+        for name in self.names:
+            cfg = program.cfg_of(name)
+            for idx, stmt in cfg.statements():
+                loc = Loc(name, idx)
+                succs: List[Loc] = []
+                if isinstance(stmt, CallStmt):
+                    targets = [t for t in stmt.targets
+                               if t in program.functions and t in names]
+                    for t in targets:
+                        callee_cfg = program.cfg_of(t)
+                        succs.append(Loc(t, callee_cfg.entry))
+                        # Return edge: callee exit -> call's successors.
+                        exit_loc = Loc(t, callee_cfg.exit)
+                        rets = self._succs.setdefault(exit_loc, [])
+                        for s in cfg.successors(idx):
+                            ret = Loc(name, s)
+                            if ret not in rets:
+                                rets.append(ret)
+                    if not targets:
+                        succs.extend(Loc(name, s) for s in cfg.successors(idx))
+                else:
+                    succs.extend(Loc(name, s) for s in cfg.successors(idx))
+                existing = self._succs.setdefault(loc, [])
+                for s in succs:
+                    if s not in existing:
+                        existing.append(s)
+        for src, dsts in self._succs.items():
+            for d in dsts:
+                self._preds.setdefault(d, []).append(src)
+
+    def successors(self, loc: Loc) -> List[Loc]:
+        return self._succs.get(loc, [])
+
+    def predecessors(self, loc: Loc) -> List[Loc]:
+        return self._preds.get(loc, [])
+
+    def nodes(self) -> List[Loc]:
+        seen: Set[Loc] = set()
+        out: List[Loc] = []
+        for loc in self._succs:
+            if loc not in seen:
+                seen.add(loc)
+                out.append(loc)
+        for loc in self._preds:
+            if loc not in seen:
+                seen.add(loc)
+                out.append(loc)
+        return out
+
+
+class ReferenceDataflow(Generic[State]):
+    """Worklist forward fixpoint over a supergraph.
+
+    ``transfer(loc, stmt, state)`` must return a *new* state (states are
+    treated as immutable); ``join`` combines predecessor outputs;
+    ``initial`` is the entry fact; states compare with ``==``.
+    """
+
+    def __init__(
+        self,
+        graph: ReferenceSupergraph,
+        transfer: Callable[[Loc, Statement, State], State],
+        join: Callable[[State, State], State],
+        initial: State,
+        bottom: State,
+    ) -> None:
+        self.graph = graph
+        self.transfer = transfer
+        self.join = join
+        self.initial = initial
+        self.bottom = bottom
+        self._in: Dict[Loc, State] = {}
+        self._out: Dict[Loc, State] = {}
+        self.iterations = 0
+
+    def run(self, max_iterations: Optional[int] = None,
+            deadline: Optional[float] = None) -> None:
+        """Run to fixpoint; ``deadline`` is an absolute time.monotonic()
+        value standing in for the paper's wall-clock timeout."""
+        program = self.graph.program
+        self._in[self.graph.entry] = self.initial
+        worklist: List[Loc] = [self.graph.entry]
+        queued: Set[Loc] = {self.graph.entry}
+        while worklist:
+            loc = worklist.pop()
+            queued.discard(loc)
+            self.iterations += 1
+            if max_iterations is not None and self.iterations > max_iterations:
+                raise TimeoutError(
+                    f"dataflow exceeded {max_iterations} iterations")
+            if deadline is not None and self.iterations % 256 == 0 \
+                    and time.monotonic() > deadline:
+                raise TimeoutError("dataflow exceeded its deadline")
+            in_state = self._in.get(loc, self.bottom)
+            stmt = program.stmt_at(loc)
+            out_state = self.transfer(loc, stmt, in_state)
+            if loc in self._out and self._out[loc] == out_state:
+                continue
+            self._out[loc] = out_state
+            for succ in self.graph.successors(loc):
+                old = self._in.get(succ, self.bottom)
+                new = self.join(old, out_state)
+                if succ not in self._in or new != old:
+                    self._in[succ] = new
+                    if succ not in queued:
+                        queued.add(succ)
+                        worklist.append(succ)
+
+    def state_before(self, loc: Loc) -> State:
+        return self._in.get(loc, self.bottom)
+
+    def state_after(self, loc: Loc) -> State:
+        return self._out.get(loc, self.bottom)
+
+
 # -- FSCI over frozenset states ------------------------------------------
 
 
@@ -339,7 +502,7 @@ def _strip(objs: FrozenSet[object]) -> FrozenSet[MemObject]:
 class ReferenceFSCIResult(FSCIResult):
     """:class:`~.fsci.FSCIResult` over frozenset-valued states."""
 
-    def __init__(self, engine: ForwardDataflow, universe: Set[Var]) -> None:
+    def __init__(self, engine: ReferenceDataflow, universe: Set[Var]) -> None:
         self._engine = engine
         self.universe = universe
         self._summary: Optional[Dict[MemObject, FrozenSet[MemObject]]] = None
@@ -442,8 +605,8 @@ class ReferenceFSCI(FSCI):
     """:class:`~.fsci.FSCI` with frozenset transfer functions."""
 
     def run(self) -> FSCIResult:
-        graph = Supergraph(self.program, functions=self._functions)
-        engine: ForwardDataflow[Optional[PtsState]] = ForwardDataflow(
+        graph = ReferenceSupergraph(self.program, functions=self._functions)
+        engine: ReferenceDataflow[Optional[PtsState]] = ReferenceDataflow(
             graph, self._transfer, _join, initial={}, bottom=BOTTOM)
         engine.run(max_iterations=self._max_iterations,
                    deadline=self._deadline)

@@ -15,6 +15,13 @@ This harness proves the speedup is real and keeps it from rotting:
   cluster of the program's bootstrap cascade, kernel vs reference on
   the same FSCI results, every exit summary compared.  It is not part
   of **cold**, whose floor covers Andersen and FSCI.
+* **sliced_fsci** — every cluster's sliced FSCI of the same cascade
+  (its ``V_P``, ``St_P`` and the functions that can reach the slice),
+  the dense-id engine vs the reference engine, identical answers at
+  every location and identical iteration counts required.  This is
+  the bootstrapped regime of many small solves, where the dense node
+  ids pay off; the whole-program **fsci** stage barely shows them.
+  Not part of **cold** either.
 * **payload** — total serialized bytes of every bootstrap cluster
   payload (interned wire format, version 2).
 
@@ -36,6 +43,7 @@ import time
 from typing import Any, Dict, Optional, Sequence
 
 from ..analysis import FSCI, Andersen, ClusterFSCS, ObjTerm, SummaryEngine
+from ..analysis.fsci import slice_functions
 from ..analysis.reference import (
     ReferenceAndersen,
     ReferenceFSCI,
@@ -48,7 +56,7 @@ from ..core import (
     CascadeConfig,
 )
 from ..core.shipping import build_payload
-from ..ir import CallGraph
+from ..ir import CallGraph, Loc
 from .corpus import PAPER_TABLE1, build
 from .metrics import format_table
 
@@ -60,7 +68,7 @@ TARGET_SPEEDUP = 5.0
 
 #: Solver stages, each timed against its reference and gated on
 #: identical results.
-STAGES = ("andersen", "fsci", "summaries")
+STAGES = ("andersen", "fsci", "summaries", "sliced_fsci")
 
 
 def _payload_bytes(payload: Dict[str, Any]) -> int:
@@ -96,6 +104,52 @@ def _summaries_stage(boot: BootstrapResult) -> Dict[str, Any]:
         t_r += time.perf_counter() - t0
         identical = identical and kernel == reference
     return {"clusters": len(analyses),
+            "kernel_time": t_k, "reference_time": t_r,
+            "speedup": t_r / t_k if t_k else 0.0,
+            "identical": identical}
+
+
+def _fsci_answers(result: Any, program: Any, functions: Any,
+                  cells: Any) -> Dict[Any, Any]:
+    """One sliced FSCI's answers at every location of ``functions``:
+    reachability, the after-state's cells, and each tracked cell's
+    objects, UNINIT and NULL before the location."""
+    out: Dict[Any, Any] = {"iterations": result.iterations}
+    for name in sorted(functions):
+        for idx in program.cfg_of(name).nodes():
+            loc = Loc(name, idx)
+            out[loc] = (result.reached_before(loc), result.cells_after(loc),
+                        [(result.pts_before(loc, c),
+                          result.maybe_uninit_before(loc, c),
+                          result.explicit_null_before(loc, c))
+                         for c in cells])
+    return out
+
+
+def _sliced_fsci_stage(boot: BootstrapResult) -> Dict[str, Any]:
+    """Kernel vs reference FSCI on every cluster's slice, on the
+    functions ``ClusterFSCS.fsci`` solves it on."""
+    program, callgraph = boot.program, boot.callgraph
+    t_k = t_r = 0.0
+    identical = True
+    iterations = 0
+    for cluster in boot.clusters:
+        relevant = cluster.slice.statements
+        functions = slice_functions(program, callgraph, relevant)
+        options = {"tracked": cluster.slice.vp, "relevant": relevant,
+                   "functions": functions, "callgraph": callgraph}
+        t0 = time.perf_counter()
+        kernel = FSCI(program, **options).run()
+        t_k += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        reference = ReferenceFSCI(program, **options).run()
+        t_r += time.perf_counter() - t0
+        cells = sorted(cluster.slice.vp, key=str)
+        identical = identical and (
+            _fsci_answers(kernel, program, functions, cells)
+            == _fsci_answers(reference, program, functions, cells))
+        iterations += kernel.iterations
+    return {"clusters": len(boot.clusters), "iterations": iterations,
             "kernel_time": t_k, "reference_time": t_r,
             "speedup": t_r / t_k if t_k else 0.0,
             "identical": identical}
@@ -170,6 +224,14 @@ def run_kernel_bench(name: str = LARGEST, scale: float = 0.008,
               f"{s['reference_time']:.2f}s ({s['speedup']:.2f}x over "
               f"{s['clusters']} clusters, identical={s['identical']})",
               file=sys.stderr)
+
+    stages["sliced_fsci"] = _sliced_fsci_stage(boot)
+    if verbose:
+        s = stages["sliced_fsci"]
+        print(f"  sliced_fsci: kernel {s['kernel_time']:.2f}s vs reference "
+              f"{s['reference_time']:.2f}s ({s['speedup']:.2f}x over "
+              f"{s['clusters']} clusters, {s['iterations']} iterations, "
+              f"identical={s['identical']})", file=sys.stderr)
 
     payload: Dict[str, Any] = {"skipped": True}
     if not skip_payload:

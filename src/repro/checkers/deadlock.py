@@ -235,13 +235,9 @@ class DeadlockChecker(Checker):
             if view.fsci is None or not threads:
                 return LockOrderReport([], entries), ()
             locks = LocksetAnalysis(program, fsci=view.fsci).run()
-            # Widen with any lock pointer whose cluster is not yet
-            # selected (its sites resolve ambiguously until it is).
-            demands = [s.pointer for s in locks.sites
-                       if s.pointer not in view.tracked]
             found = _find_cycles(_build_edges(locks, threads))
             return LockOrderReport(sorted(found, key=lambda c: c.key),
-                                   entries), demands
+                                   entries), ()
         return cycles
 
     def report(self, ctx: CheckerContext, value: LockOrderReport

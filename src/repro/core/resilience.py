@@ -46,7 +46,7 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from ..analysis.andersen import Andersen
 from ..analysis.cutshortcut import CutShortcutTransform
-from ..analysis.fsci import FSCI
+from ..analysis.fsci import FSCI, slice_functions
 from ..analysis.steensgaard import Steensgaard
 from ..analysis.steensgaard_fs import SteensgaardFS
 from ..errors import AnalysisBudgetExceeded, ReproError
@@ -329,11 +329,9 @@ def degraded_outcome(program: Program, cluster: Cluster, level: str,
     if level == "fsci":
         relevant = cluster.slice.statements
         cg = callgraph or CallGraph(program)
-        functions = cg.ancestors_of({loc.function for loc in relevant})
-        functions.add(program.entry)
         fsci = FSCI(program, tracked=cluster.slice.vp, relevant=relevant,
-                    functions=functions, callgraph=cg,
-                    deadline=deadline).run()
+                    functions=slice_functions(program, cg, relevant),
+                    callgraph=cg, deadline=deadline).run()
         # The clean FSCS summaries conservatively cover slice statements
         # the supergraph never reaches from the entry (uncalled helpers,
         # thread bodies); the fixpoint rightly computes nothing for

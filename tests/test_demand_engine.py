@@ -398,6 +398,77 @@ class TestDeadlockChecker:
 
 
 # ----------------------------------------------------------------------
+def _witness(lock_a, lock_b, t1, t2):
+    return (f"{lock_a}->{lock_b}->{lock_a} ({t1} holds {lock_a} and waits "
+            f"for {lock_b}; {t2} holds {lock_b} and waits for {lock_a})")
+
+
+def _synth_pairs(*pairs):
+    return [_witness(f"dl{n}obja", f"dl{n}objb", f"dl{n}t1", f"dl{n}t2")
+            for n in pairs]
+
+
+#: Every deadlock of ``bench.demand``'s lock-pair stand-ins and two
+#: examples, as the checker reported them when its client still
+#: widened the demand with lock pointers outside ``view.tracked``.
+DEADLOCK_INPUTS = {
+    "deadlock_demo.c": [
+        _witness("obj_a", "obj_b", "t1", "t2"),
+        _witness("obj_a", "obj_b", "t3", "t2")],
+    "race_demo.c": [],
+    "savings": _synth_pairs(10, 12),
+    "oracle-11": _synth_pairs(7, 9),
+    "oracle-13": _synth_pairs(7, 9),
+    "oracle-2008": _synth_pairs(7, 9),
+}
+
+
+def _deadlock_input(name):
+    """``(program, thread entries)`` as ``bench.demand`` builds them."""
+    if name.endswith(".c"):
+        path = os.path.join(os.path.dirname(__file__), "..", "examples",
+                            name)
+        with open(path) as handle:
+            return parse_program(handle.read()), None
+    if name == "savings":
+        sp = generate(SynthConfig(name="demand-bench", pointers=240,
+                                  leak_webs=9, deadlock_pairs=4, seed=2008))
+    else:
+        seed = int(name.split("-")[1])
+        sp = generate(SynthConfig(
+            name=f"demand-oracle-{seed}", pointers=20, functions=4,
+            leak_webs=6, deadlock_pairs=3, hub_fractions=(),
+            recursion=False, seed=seed))
+    return sp.program, list(sp.thread_entries)
+
+
+class TestDeadlockOneRound:
+    """The lock pointers are the seeds, so every lock site resolves in
+    the first round: the client demands nothing and the engine stops
+    after one round, with the cycles it always found."""
+
+    def test_oracle_seeds_are_the_benchs(self):
+        from repro.bench.demand import ORACLE_SEEDS
+        assert {f"oracle-{s}" for s in ORACLE_SEEDS} \
+            <= set(DEADLOCK_INPUTS)
+
+    @pytest.mark.parametrize("name", sorted(DEADLOCK_INPUTS))
+    def test_one_round_same_cycles(self, name):
+        program, threads = _deadlock_input(name)
+        result = BootstrapAnalyzer(program).run()
+        prefix = "potential deadlock: lock-order cycle "
+        for whole in (False, True):
+            run = run_deadlocks(program, result=result,
+                                thread_entries=threads,
+                                whole_program=whole)
+            assert run.rounds == 1, whole
+            assert [d.message[len(prefix):] for d in run.diagnostics] \
+                == DEADLOCK_INPUTS[name], whole
+            assert [c.key for c in run.value.cycles] == \
+                [w.split(" ")[0] for w in DEADLOCK_INPUTS[name]]
+
+
+# ----------------------------------------------------------------------
 class TestSynthGroundTruth:
     @pytest.fixture(scope="class")
     def synth(self):

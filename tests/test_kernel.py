@@ -328,6 +328,10 @@ class TestBenchHarness:
         summaries = data["stages"]["summaries"]
         assert summaries["identical"] and summaries["clusters"] > 0
         assert summaries["kernel_time"] > 0
+        sliced = data["stages"]["sliced_fsci"]
+        assert sliced["identical"]
+        assert sliced["clusters"] == summaries["clusters"]
+        assert sliced["iterations"] > 0
         assert data["cold"]["kernel_time"] > 0
         assert "payload" in data and data["payload"]["skipped"]
         assert render(data)  # renders without the payload block
@@ -338,6 +342,7 @@ class TestBenchHarness:
                 "andersen": {"identical": True},
                 "fsci": {"identical": True},
                 "summaries": {"identical": True},
+                "sliced_fsci": {"identical": True},
             },
             "cold": {"kernel_time": kernel, "reference_time": reference,
                      "speedup": reference / kernel},
@@ -372,3 +377,10 @@ class TestBenchHarness:
         cur["stages"]["summaries"]["identical"] = False
         assert check_gate(cur, base) == [
             "summaries: kernel and reference results differ"]
+
+    def test_gate_fails_on_sliced_fsci_divergence(self):
+        base = self._result(1.0, 6.0)
+        cur = self._result(1.0, 6.0)
+        cur["stages"]["sliced_fsci"]["identical"] = False
+        assert check_gate(cur, base) == [
+            "sliced_fsci: kernel and reference results differ"]
