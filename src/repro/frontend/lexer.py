@@ -1,15 +1,29 @@
 """Tokenizer for the mini-C subset.
 
-Hand-written scanner producing a flat token list with line/column info.
+A scanner kernel producing a flat token list with line/column info.
 Comments (``//`` and ``/* */``) and preprocessor lines (``# ...``) are
 skipped; string/char literals are retained as single tokens (their
 contents never matter to pointer analysis).
+
+One compiled master pattern (:data:`_MASTER`) covers the common
+classes -- whitespace runs, newlines with the next line's indentation,
+``//`` comments, ``/*`` openers, words and punctuators -- so a token
+costs one ``match`` and one dispatch on ``lastgroup``.  The punctuators
+form one alternation in :data:`PUNCT` order, so the longest match still
+wins.  Everything else keeps the character-at-a-time code:
+block-comment bodies, ``#`` directives, literals, numbers (they stay on
+``str.isdigit()``, which disagrees with ``\\d`` on code points such as
+``²``) and every error.  Tokens are :class:`Token` named tuples.
+
+:mod:`.reference` keeps the scanner this one replaced;
+``tests/test_frontend_kernel.py`` holds the two identical, token for
+token and error for error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+import re
+from typing import Dict, List, NamedTuple, Optional
 
 from ..errors import ParseError
 
@@ -31,8 +45,7 @@ PUNCT = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str      # "id", "num", "str", "char", "kw", "punct", "eof"
     text: str
     line: int
@@ -48,9 +61,31 @@ class Token:
         return f"{self.kind}({self.text!r})"
 
 
+#: The common token classes, one alternative each; the first that
+#: matches wins.  Comment openers precede the punctuators (``/`` and
+#: ``/=`` would otherwise take them).  A word's first character must
+#: still pass ``str.isalpha()`` or be ``_``: ``[^\W\d]`` also admits
+#: non-decimal digits such as ``²``.  ``\w`` matches exactly the
+#: characters where ``str.isalnum()`` holds, plus ``_`` -- the reference
+#: scanner's identifier continuation (CPython's ``re`` tests the same
+#: Unicode predicate; the kernel suite checks every code point).
+_MASTER = re.compile("|".join((
+    r"(?P<ws>[ \t\r\f\v]+)",
+    r"(?P<nl>\n[ \t\r\f\v]*)",
+    r"(?P<line>//[^\n]*)",
+    r"(?P<block>/\*)",
+    r"(?P<word>[^\W\d]\w*)",
+    "(?P<punct>" + "|".join(map(re.escape, PUNCT)) + ")",
+)))
+
+
 def tokenize(source: str) -> List[Token]:
     """Scan ``source`` into tokens, ending with a single ``eof`` token."""
     tokens: List[Token] = []
+    append = tokens.append
+    new = tuple.__new__
+    match = _MASTER.match
+    keywords = KEYWORDS
     i = 0
     line = 1
     col = 1
@@ -60,34 +95,53 @@ def tokenize(source: str) -> List[Token]:
         return ParseError(msg, line, col)
 
     while i < n:
+        m = match(source, i)
+        if m is not None:
+            group = m.lastgroup
+            end = m.end()
+            if group == "word" and (source[i].isalpha()
+                                    or source[i] == "_"):
+                text = m.group()
+                append(new(Token, ("kw" if text in keywords else "id",
+                                   text, line, col)))
+                col += end - i
+                i = end
+                continue
+            if group == "ws":
+                col += end - i
+                i = end
+                continue
+            if group == "punct":
+                append(new(Token, ("punct", m.group(), line, col)))
+                col += end - i
+                i = end
+                continue
+            if group == "nl":
+                # The newline and the next line's indentation.
+                line += 1
+                col = end - i
+                i = end
+                continue
+            if group == "line":
+                # The column stays where the comment began (an eof
+                # token after it carries that column).
+                i = end
+                continue
+            if group == "block":
+                end = source.find("*/", i + 2)
+                if end == -1:
+                    raise error("unterminated block comment")
+                skipped = source[i:end + 2]
+                line += skipped.count("\n")
+                if "\n" in skipped:
+                    col = len(skipped) - skipped.rfind("\n")
+                else:
+                    col += len(skipped)
+                i = end + 2
+                continue
+            # A word led by a non-letter: scanned below.
         ch = source[i]
-        # -- whitespace ------------------------------------------------
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r\f\v":
-            i += 1
-            col += 1
-            continue
-        # -- comments / preprocessor ------------------------------------
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end == -1:
-                raise error("unterminated block comment")
-            skipped = source[i:end + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = end + 2
-            continue
+        # -- preprocessor -----------------------------------------------
         if ch == "#" and (not tokens or tokens[-1].line != line):
             while i < n and source[i] != "\n":
                 if source[i] == "\\" and i + 1 < n and source[i + 1] == "\n":
@@ -95,16 +149,6 @@ def tokenize(source: str) -> List[Token]:
                     line += 1
                     continue
                 i += 1
-            continue
-        # -- identifiers / keywords -------------------------------------
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            kind = "kw" if text in KEYWORDS else "id"
-            tokens.append(Token(kind, text, line, col))
-            col += i - start
             continue
         # -- numbers ----------------------------------------------------
         if ch.isdigit():
@@ -118,7 +162,7 @@ def tokenize(source: str) -> List[Token]:
                     if source[i] in "eE" and i + 1 < n and source[i + 1] in "+-":
                         i += 1
                     i += 1
-            tokens.append(Token("num", source[start:i], line, col))
+            append(Token("num", source[start:i], line, col))
             col += i - start
             continue
         # -- string / char literals -------------------------------------
@@ -136,19 +180,11 @@ def tokenize(source: str) -> List[Token]:
                 raise error("unterminated literal")
             i += 1
             kind = "str" if quote == '"' else "char"
-            tokens.append(Token(kind, source[start:i], line, col))
+            append(Token(kind, source[start:i], line, col))
             col += i - start
             continue
-        # -- punctuation --------------------------------------------------
-        for p in PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise error(f"unexpected character {ch!r}")
-    tokens.append(Token("eof", "", line, col))
+        raise error(f"unexpected character {ch!r}")
+    append(Token("eof", "", line, col))
     return tokens
 
 

@@ -101,6 +101,14 @@ def shadow_leaves(t: CType, structs: StructTable
     return out
 
 
+def _start_span(expr: A.Expr) -> Span:
+    """Where ``expr`` starts: a postfix form (call, member access,
+    indexing) is placed at its operator, so walk down to its base."""
+    while isinstance(expr, (A.Call, A.Member, A.Index)):
+        expr = expr.fn if isinstance(expr, A.Call) else expr.base
+    return Span(expr.line, expr.col)
+
+
 # ---------------------------------------------------------------------------
 # lowered values
 # ---------------------------------------------------------------------------
@@ -677,14 +685,19 @@ class Normalizer:
                    shadows=self._shadow_map(var, ctype))
 
     def _lower_assign(self, expr: A.Assign) -> Val:
+        # Lowering an operand moves the default span to each of its
+        # sub-expressions; the assignment's own access anchors at the
+        # left operand instead of the last right-hand one.
         if expr.op != "=":
             # Compound assignment: evaluate both sides; pointer identity
             # is unchanged under the naive arithmetic model.
             lv = self._lower_lvalue(expr.lhs)
             self._lower_expr(expr.rhs)
+            self._em.default_span = _start_span(expr.lhs)
             return self._read_lvalue(lv)
         val = self._lower_expr(expr.rhs)
         lv = self._lower_lvalue(expr.lhs)
+        self._em.default_span = _start_span(expr.lhs)
         self._assign(lv, val)
         return val if val.kind != "opaque" else self._read_lvalue(lv)
 

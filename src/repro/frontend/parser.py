@@ -14,6 +14,13 @@ Grammar highlights:
 
 The parser performs *no* semantic analysis; it produces the AST of
 :mod:`.ast_nodes`, and the normalizer does the rest.
+
+It reads the :class:`~.lexer.Token` tuples of :func:`.lexer.tokenize`
+(called through this module's binding) by direct index, and tests
+keyword classes against precomputed frozensets.  Any object with the
+token's four fields and ``is_punct``/``is_kw`` will do: the kernel
+suite runs the parser on :mod:`.reference`'s tokens too and requires
+the same IR, span for span.
 """
 
 from __future__ import annotations
@@ -36,9 +43,14 @@ from .types import (
     StructType,
 )
 
-_TYPE_KEYWORDS = {"int", "char", "long", "short", "unsigned", "signed",
-                  "void", "float", "double", "struct", "union", "enum"}
-_QUALIFIERS = {"static", "extern", "const", "volatile"}
+_TYPE_KEYWORDS = frozenset({"int", "char", "long", "short", "unsigned",
+                            "signed", "void", "float", "double", "struct",
+                            "union", "enum"})
+_QUALIFIERS = frozenset({"static", "extern", "const", "volatile"})
+#: Keywords that can open a type name or a declaration.
+_TYPE_START = _TYPE_KEYWORDS | _QUALIFIERS
+#: The keywords a multi-word basic type (``unsigned long``) is made of.
+_BASIC_TYPE_WORDS = _TYPE_KEYWORDS - {"struct", "union", "enum"}
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
                "<<=", ">>="}
@@ -63,30 +75,36 @@ class Parser:
         self._anon_counter = 0
 
     # ------------------------------------------------------------------
-    # token plumbing
+    # token plumbing: ``pos`` never passes the eof token, so only a
+    # look-ahead can index past the end
     # ------------------------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        try:
+            return self.tokens[self.pos + offset]
+        except IndexError:
+            return self.tokens[-1]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
     def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if not tok.is_punct(text):
+        tok = self.tokens[self.pos]
+        if tok.kind != "punct" or tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}",
                              tok.line, tok.column)
-        return self.next()
+        self.pos += 1
+        return tok
 
     def expect_id(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "id":
             raise ParseError(f"expected identifier, found {tok.text!r}",
                              tok.line, tok.column)
-        return self.next()
+        self.pos += 1
+        return tok
 
     def skip_to_punct(self, text: str) -> None:
         """Skip tokens up to, not past, the punctuator ``text``.  Reaching
@@ -184,13 +202,16 @@ class Parser:
     # types and declarators
     # ------------------------------------------------------------------
     def _skip_qualifiers(self) -> None:
-        while self.peek().is_kw(*_QUALIFIERS):
-            self.next()
-
-    def at_type_start(self) -> bool:
         tok = self.peek()
-        if tok.is_kw(*(_TYPE_KEYWORDS | _QUALIFIERS)):
-            return True
+        while tok.kind == "kw" and tok.text in _QUALIFIERS:
+            self.next()
+            tok = self.peek()
+
+    def at_type_start(self, offset: int = 0) -> bool:
+        """Does the token ``offset`` ahead open a type name?"""
+        tok = self.peek(offset)
+        if tok.kind == "kw":
+            return tok.text in _TYPE_START
         return tok.kind == "id" and tok.text in self.typedefs
 
     def _parse_type_specifier(self) -> CType:
@@ -203,12 +224,14 @@ class Parser:
             return self._parse_struct()
         if tok.is_kw("enum"):
             return self._parse_enum()
-        if not tok.is_kw(*_TYPE_KEYWORDS):
+        if tok.kind != "kw" or tok.text not in _TYPE_KEYWORDS:
             raise self.error("expected a type")
         names: List[str] = []
-        while self.peek().is_kw(*(_TYPE_KEYWORDS - {"struct", "union", "enum"})):
+        tok = self.peek()
+        while tok.kind == "kw" and tok.text in _BASIC_TYPE_WORDS:
             names.append(self.next().text)
             self._skip_qualifiers()
+            tok = self.peek()
         text = " ".join(names)
         if "void" in names:
             return VOID
@@ -566,26 +589,20 @@ class Parser:
             return A.Unary(op=tok.text, operand=operand, line=tok.line, col=tok.column)
         if tok.is_kw("sizeof"):
             self.next()
-            if self.peek().is_punct("(") and self._looks_like_type(1):
+            if self.peek().is_punct("(") and self.at_type_start(1):
                 self.next()
                 self._parse_type_name()
                 self.expect_punct(")")
             else:
                 self._parse_unary()
             return A.SizeOf(line=tok.line, col=tok.column)
-        if tok.is_punct("(") and self._looks_like_type(1):
+        if tok.is_punct("(") and self.at_type_start(1):
             self.next()
             typ = self._parse_type_name()
             self.expect_punct(")")
             operand = self._parse_unary()
             return A.Cast(type=typ, operand=operand, line=tok.line, col=tok.column)
         return self._parse_postfix()
-
-    def _looks_like_type(self, offset: int) -> bool:
-        tok = self.peek(offset)
-        if tok.is_kw(*(_TYPE_KEYWORDS | _QUALIFIERS)):
-            return True
-        return tok.kind == "id" and tok.text in self.typedefs
 
     def _parse_type_name(self) -> CType:
         self._skip_qualifiers()

@@ -415,7 +415,8 @@ class TestCheckCLI:
     def test_filename_and_line_in_output(self, buggy_file, capsys):
         main(["check", buggy_file])
         out = capsys.readouterr().out
-        assert f"{buggy_file}:5:6: error" in out
+        # `*p = 1;` anchors at its left operand, the `*`.
+        assert f"{buggy_file}:5:5: error" in out
 
     def test_checker_subset(self, buggy_file, capsys):
         assert main(["check", buggy_file, "--checkers",
@@ -453,6 +454,67 @@ class TestCheckCLI:
                      "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data and all(d["rule"] == "repro-data-race" for d in data)
+
+
+#: A race on ``b = b + 1;`` and a NULL store ``*p = q;``.
+RACY_ASSIGN = """int b;
+void t1(void) {
+    b = b + 1;
+}
+void t2(void) {
+    b = b + 2;
+}
+int main() { t1(); t2(); return 0; }
+"""
+NULL_STORE = """int x;
+int main() {
+    int *p, *q;
+    p = 0;
+    q = &x;
+    *p = q;
+    return 0;
+}
+"""
+
+
+class TestAssignmentSpans:
+    """An assignment's write is placed at its left operand, not at the
+    last operand of its right-hand side."""
+
+    #: case -> (source, verb and flags, (line, column) of the finding)
+    CASES = {
+        "race": (RACY_ASSIGN, ["races", "--threads", "t1,t2"], (3, 5)),
+        "null-store": (NULL_STORE, ["check", "--checkers", "null-deref"],
+                       (6, 5)),
+    }
+
+    def test_race_demo(self, capsys):
+        main(["races", str(EXAMPLES / "race_demo.c")])
+        out = capsys.readouterr().out
+        assert "race_demo.c:24:5: warning" in out
+        assert "(at 32:5)" in out
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("fmt", ["text", "json", "sarif"])
+    def test_left_operand(self, case, fmt, tmp_path, capsys):
+        source, (verb, *flags), (line, column) = self.CASES[case]
+        path = tmp_path / "assign.c"
+        path.write_text(source)
+        args = [verb, str(path)] + flags
+        if fmt == "text":
+            main(args)
+            assert f"{path}:{line}:{column}: " in capsys.readouterr().out
+        elif fmt == "json":
+            main(args + ["--json"])
+            (finding,) = json.loads(capsys.readouterr().out)
+            assert (finding["line"], finding["column"]) == (line, column)
+        else:
+            sarif = tmp_path / "out.sarif"
+            main(args + ["--sarif", str(sarif)])
+            (result,) = json.loads(sarif.read_text())["runs"][0]["results"]
+            region = result["locations"][0]["physicalLocation"]["region"]
+            assert (region["startLine"], region["startColumn"]) \
+                == (line, column)
 
 
 def _example(case):
