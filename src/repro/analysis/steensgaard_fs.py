@@ -15,7 +15,7 @@ field write into a per-``(struct, field)`` summary cell
 cells are write-mostly by construction, yet classic unification merges
 the pointee classes of *all* the stored sources into one giant
 partition, inflating every downstream cost (slice sizes, FSCS solve
-time, payload bytes, fleet routing weight).
+time, key hashing, fleet routing weight).
 
 This module keeps unification's near-linear cost while splitting both
 axes, following "Unification-based Pointer Analysis without Oversharing"

@@ -3,7 +3,7 @@
 The server's pitch is that the paper's cluster decomposition makes alias
 queries *servable*: parse and bootstrap once, then answer each query
 from resident per-cluster state, and after an edit re-analyze only the
-clusters whose payload fingerprints changed.  This harness measures all
+clusters whose content keys changed.  This harness measures all
 three claims against a synthetic multi-web program (each web is one
 function, so a one-function edit should touch a small cluster fraction):
 

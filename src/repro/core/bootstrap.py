@@ -183,15 +183,13 @@ class BootstrapResult:
         ``scheduler`` picks the part assignment (``greedy``/``lpt``);
         ``jobs`` sets the worker (and, for ``processes``, part) count;
         ``cache`` — a
-        :class:`~repro.core.summary_cache.SummaryCache` or a directory
-        path — skips every cluster whose sliced sub-program fingerprint
-        already has a stored outcome.  A cache that also remembers
-        content keys (the daemon's
-        :class:`~repro.server.store.ClusterStore`) lets a reload take an
-        unchanged cluster's fingerprint from there instead of encoding
-        its payload; ``report.encoded`` counts the payloads built.
-        Results are per-cluster outcome dicts (``{"stats",
-        "points_to"}``) in input order.
+        :class:`~repro.core.summary_cache.SummaryCache`, a directory
+        path, or anything with its ``get``/``put`` (the daemon's
+        :class:`~repro.server.store.ClusterStore`) — skips every cluster
+        whose fingerprint already has a stored outcome.  Results are
+        per-cluster outcome dicts (``{"stats", "points_to"}``) in input
+        order, and every other per-cluster field of the report is keyed
+        by input index too.
 
         ``policy`` (a :class:`~repro.core.resilience.RunPolicy`) adds
         fault tolerance: per-cluster timeouts, bounded retries and —
@@ -212,17 +210,12 @@ class BootstrapResult:
 
         # Fingerprints are only made when something consumes them: the
         # cache, or fault injection (selectors match on fingerprints).
-        # A cache that remembers content keys (ClusterStore.content_keys)
-        # lets unchanged clusters skip their payload.
-        encoded: List[int] = []
         fingerprints = None
         if cache_obj is not None or faults:
             fingerprints = cluster_fingerprints(
                 self.program, targets, self.callgraph,
                 max_cond_atoms=self.config.max_cond_atoms,
-                budget=self.config.fscs_budget,
-                known=getattr(cache_obj, "content_keys", None),
-                encoded=encoded)
+                budget=self.config.fscs_budget)
         stamps = attach_faults(fingerprints, faults) if faults else {}
 
         cached: Dict[int, Dict] = {}
@@ -260,20 +253,6 @@ class BootstrapResult:
             report = ParallelReport(part_times=[], cluster_times={},
                                     results=[], backend=backend,
                                     scheduler=scheduler)
-        if not cached and len(pending) == len(targets):
-            # Fast path: nothing came from the cache, indices align.
-            report.cache_misses = len(pending) if cache_obj is not None else 0
-            report.fingerprints = fingerprints
-            report.encoded = len(encoded)
-            if cache_obj is not None:
-                for i in pending:
-                    # Degraded outcomes are coarser than what a healthy
-                    # run would compute: never cache them, so the next
-                    # run retries at full precision.
-                    if not is_degraded(report.results[i]):
-                        cache_obj.put(fingerprints[i], report.results[i])
-            self._note_degraded(targets, report.results)
-            return report
 
         # Merge cached outcomes (cost 0.0 — no work was done) with the
         # freshly computed ones, restoring input-order indexing.
@@ -284,6 +263,9 @@ class BootstrapResult:
         for j, i in enumerate(pending):
             results[i] = report.results[j]
             cluster_times[i] = report.cluster_times.get(j, 0.0)
+            # Degraded outcomes are coarser than what a healthy run
+            # would compute: never cache them, so the next run retries
+            # at full precision.
             if cache_obj is not None and not is_degraded(report.results[j]):
                 cache_obj.put(fingerprints[i], report.results[j])
         for i, outcome in cached.items():
@@ -294,9 +276,9 @@ class BootstrapResult:
             part_times=report.part_times, cluster_times=cluster_times,
             results=results, backend=backend, scheduler=scheduler,
             schedule=schedule, wall_time=report.wall_time,
-            cache_hits=len(cached), cache_misses=len(pending),
-            fingerprints=fingerprints, attempts=attempts,
-            encoded=len(encoded))
+            cache_hits=len(cached),
+            cache_misses=len(pending) if cache_obj is not None else 0,
+            fingerprints=fingerprints, attempts=attempts)
 
     # ------------------------------------------------------------------
     # resilience plumbing

@@ -7,8 +7,9 @@ testable if faults can be produced *on demand and deterministically*, so
 this module injects them:
 
 * a :class:`FaultSpec` names a fault kind and selects clusters by
-  payload fingerprint (a prefix), by cluster index (``#3``) or
-  unconditionally (``*``);
+  content key (a prefix of
+  :func:`~repro.core.shipping.cluster_fingerprints`), by cluster index
+  (``#3``) or unconditionally (``*``);
 * :func:`attach_faults` maps each matching cluster index to a *stamp*
   (its faults and its fingerprint), made in the parent before the run;
   forked workers inherit the stamps with the rest of the run's task;
@@ -36,8 +37,8 @@ Fault kinds
     attempt memory is a marker file under ``token_dir``, so the fault
     stays deterministic across pool replacements.
 
-Stamps live beside the payloads, never inside them, so injecting a
-fault never changes a cluster's cache identity.
+Stamps live beside the clusters' keys, never inside them, so injecting
+a fault never changes a cluster's cache identity.
 """
 
 from __future__ import annotations

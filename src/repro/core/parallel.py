@@ -195,17 +195,13 @@ class ParallelReport:
     wall_time: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Payload fingerprints per cluster (input order), when the run made
-    #: them (a summary cache, or faults to select by) — the invalidation
-    #: hook the query daemon diffs across reloads.
+    #: Cluster fingerprints (content keys, input order), when the run
+    #: made them (a summary cache, or faults to select by) — the
+    #: invalidation hook the query daemon diffs across reloads.
     fingerprints: Optional[List[str]] = None
     #: Analysis attempts per cluster index; only clusters the resilience
     #: layer touched more than once (or failed) appear with values > 1.
     attempts: Dict[int, int] = field(default_factory=dict)
-    #: Payloads built for this run's fingerprints (``build_payload``
-    #: calls): every cluster's without a content-key map, only those
-    #: with new content with one.
-    encoded: int = 0
 
     @property
     def max_part_time(self) -> float:

@@ -1,38 +1,32 @@
-"""Cluster payloads: the identity of a cluster's sliced sub-program.
+"""Cluster identity: the content key of a cluster's sliced sub-program.
 
 The paper's scalability story rests on clusters being independent work
 units: "the clusters can be analyzed independently of each other ...
 making the analysis embarrassingly parallel".  A cluster's *sliced
 sub-program* (the paper's reduced program ``Prog_P``) is all that its
-analysis depends on (Theorem 6), so its encoding is the cluster's
-identity across runs, edits and machines: the summary-cache key, the
-daemon's cluster-store key and the fleet's routing key.  Payloads are
-built only where such a fingerprint is consumed; the processes backend
-(:mod:`~repro.core.parallel`) forks workers that inherit the program and
-ships no payload at all.
+analysis depends on (Theorem 6), so one hash of it names the cluster
+across runs, edits and machines: the summary-cache key, the daemon's
+cluster-store key, the fleet's routing key and what fault selectors
+match.  Nothing is shipped: the processes backend
+(:mod:`~repro.core.parallel`) forks workers that inherit the program.
 
 * :func:`cluster_subprogram` — restrict the program to the functions
   from which the cluster's slice is reachable, replacing irrelevant
   pointer assignments with skips.  Control flow, calls, returns and
   assumes are preserved, so FSCI/FSCS on the sub-program compute exactly
   what they compute on the full program restricted to the slice
-  (Theorem 6; ``tests/test_parallel_diff.py`` solves every decoded
-  payload to check it).
-* :func:`build_payload` — one JSON-safe dict per cluster: sub-program,
-  cluster, analysis knobs, in the versioned IR wire format
-  (:func:`payload_program` and :func:`payload_cluster` decode it).
-* :func:`payload_fingerprint` — content hash of a payload; the summary
-  cache key.  Source spans are dropped from sub-programs, so edits that
-  do not change a cluster's sliced sub-program (touching other
-  functions, or only line numbers) keep its fingerprint — and its cached
-  summary — valid.
-* :func:`cluster_content_keys` — a hash over exactly what a payload
-  encodes, read straight off the program and the cluster (one slicing
-  rule, :func:`_reduce`, serves it and :func:`cluster_subprogram`), so
-  it is equal exactly when the fingerprint is.
-  :func:`cluster_fingerprints`, the one place fingerprints are made,
-  remembers each key's fingerprint in a caller-owned map: a reload then
-  encodes only the clusters an edit changed.
+  (Theorem 6; ``tests/test_parallel_diff.py`` solves every cluster's
+  sub-program to check it).
+* :func:`build_payload` — the cluster's identity record: the version,
+  the analysis knobs, a digest of the sub-program and the cluster's
+  wire encoding, read straight off the program and the cluster (one
+  slicing rule, :func:`_reduce`, serves it and
+  :func:`cluster_subprogram`).
+* :func:`payload_fingerprint` — the record's hash, the content key.
+  Source spans are not part of it, so edits that do not change a
+  cluster's sliced sub-program (touching other functions, or only line
+  numbers) keep its fingerprint — and its cached summary — valid.
+  :func:`cluster_fingerprints` makes them for a batch.
 * :func:`cluster_outcome` — the canonical result of analyzing one
   cluster, identical on every backend.
 """
@@ -57,14 +51,8 @@ from ..analysis.fscs import ClusterFSCS
 from ..ir import CallGraph, CFG, Loc, Program, Var
 from ..ir.program import Function
 from ..ir.serialize import (
-    INLINE,
-    SymbolTable,
-    cluster_from_wire,
     cluster_to_wire,
-    decode_symbols,
     function_to_wire,
-    program_from_wire,
-    program_to_wire,
     slice_to_wire,
     symbols_to_wire,
 )
@@ -72,13 +60,11 @@ from ..ir.statements import AddrOf, CallStmt, ReturnStmt, Skip, Statement
 from .clusters import Cluster
 from .relevant import RelevantSlice
 
-#: Bump when the payload layout or the analysis semantics behind cached
-#: outcomes change; part of every fingerprint, so stale cache entries
-#: simply stop matching.  Version 2 interns every symbol into a
-#: per-payload table (``syms``) shipped once, with statements and
-#: slices referring to symbols by index; ``base_syms`` marks the table
-#: prefix shared by sibling clusters of one partition.
-PAYLOAD_VERSION = 2
+#: Bump when the identity record's layout or the analysis semantics
+#: behind cached outcomes change; part of every fingerprint, so stale
+#: cache entries simply stop matching.  Version 3 is the record of
+#: :func:`build_payload`.
+PAYLOAD_VERSION = 3
 
 _SLICED = Skip("sliced")
 
@@ -165,7 +151,7 @@ def _stub(fn: Function) -> Function:
 
 def cluster_subprogram(program: Program, cluster: Cluster,
                        callgraph: Optional[CallGraph] = None) -> Program:
-    """The cluster's shippable reduced program ``Prog_P``.
+    """The cluster's reduced program ``Prog_P``.
 
     Kept functions are exactly the ones the cluster's FSCI would visit on
     the full program: ancestors of the slice's functions, plus the entry.
@@ -211,55 +197,58 @@ def build_payload(program: Program, cluster: Cluster,
                   callgraph: Optional[CallGraph] = None,
                   max_cond_atoms: int = 4,
                   budget: Optional[int] = None,
-                  subprogram_cache: Optional[Dict[int, Any]] = None,
-                  ) -> Dict[str, Any]:
-    """Everything one cluster's analysis depends on, JSON-safe.
+                  subprogram_cache: Optional[Dict[str, Any]] = None,
+                  ) -> List[Any]:
+    """The cluster's identity record, JSON-safe:
+    ``[PAYLOAD_VERSION, config, sub-program digest, cluster wire]``.
 
-    The payload is the interned wire format (:data:`PAYLOAD_VERSION`):
-    one symbol table per payload, everything else referring to symbols
-    by index.
+    The sub-program digest covers the entry, each kept function after
+    slicing (params, locals, entry/exit, statements, successors), the
+    stubs' names and params and the globals used, each function by its
+    own digest; the cluster wire covers members, slice, parent slice,
+    origin and ``parent_size``; ``config`` holds the knobs.  These are
+    exactly the inputs of the cluster's analysis (Theorem 6), so equal
+    records give equal outcomes (``tests/test_shipping_keys.py``).
 
-    Sibling clusters of one partition share a base slice and hence a
-    sub-program; pass one ``subprogram_cache`` dict across a batch of
-    ``build_payload`` calls to serialize each sub-program and its
-    symbol-table prefix only once (the cache is keyed by base-slice
-    identity, so it is only valid while the cluster objects it served
-    are alive).
+    ``subprogram_cache`` is the batch memo: pass one dict across a batch
+    of calls and sliced bodies, function digests and each base slice's
+    sub-program digest are computed once — sibling clusters share a
+    base slice, and many slices pass through the same functions.  Base
+    entries are keyed by base-slice identity, so the memo is only valid
+    while the cluster objects it served are alive.
     """
+    memo = subprogram_cache if subprogram_cache is not None else {}
+    bodies = memo.setdefault("bodies", {})
+    # (name, relevant indices) -> digest; a stub's indices are None.
+    digests: Dict[Tuple[str, Optional[FrozenSet[int]]], str] = \
+        memo.setdefault("digests", {})
+    bases: Dict[int, Tuple[str, Dict[str, Any]]] = \
+        memo.setdefault("bases", {})
     base = _base_slice(cluster)
-    config = {"max_cond_atoms": max_cond_atoms, "budget": budget}
-    entry = None
-    if subprogram_cache is not None:
-        entry = subprogram_cache.get(id(base))
+    entry = bases.get(id(base))
     if entry is None:
-        sub = cluster_subprogram(program, cluster, callgraph)
-        table = SymbolTable()
-        # Intern order matters for sibling sharing: sub-program symbols
-        # first, then the base slice's — every sibling then carries an
-        # identical ``syms[:base_syms]`` prefix.
-        sub_wire = program_to_wire(sub, table)
-        base_wire = slice_to_wire(base, table)
-        entry = (sub_wire, base_wire, table, len(table), len(table.fnames))
-        if subprogram_cache is not None:
-            subprogram_cache[id(base)] = entry
-    sub_wire, base_wire, base_table, base_syms, base_fnames = entry
-    table = base_table.clone()
-    if cluster.parent_slice is not None:
-        cluster_wire = cluster_to_wire(cluster, table, parent_wire=base_wire)
-    else:
-        # base is the cluster's own slice; reuse its encoding.
-        cluster_wire = cluster_to_wire(cluster, table)
-        cluster_wire["slice"] = base_wire
-    return {
-        "version": PAYLOAD_VERSION,
-        "syms": table.syms,
-        "fnames": table.fnames,
-        "base_syms": base_syms,
-        "base_fnames": base_fnames,
-        "subprogram": sub_wire,
-        "cluster": cluster_wire,
-        "config": config,
-    }
+        kept, stubs, globals_ = _reduce(program, cluster,
+                                        callgraph or CallGraph(program),
+                                        bodies)
+        functions = []
+        for name, rel, stmts in kept:
+            digest = digests.get((name, rel))
+            if digest is None:
+                digest = digests[name, rel] = _digest(function_to_wire(
+                    program.functions[name], stmts))
+            functions.append((name, digest))
+        for name in stubs:
+            digest = digests.get((name, None))
+            if digest is None:
+                digest = digests[name, None] = _digest(function_to_wire(
+                    _stub(program.functions[name])))
+            functions.append((name, digest))
+        sub = _digest([program.entry, functions, symbols_to_wire(globals_)])
+        entry = bases[id(base)] = (sub, slice_to_wire(base))
+    sub, base_wire = entry
+    config = {"max_cond_atoms": max_cond_atoms, "budget": budget}
+    return [PAYLOAD_VERSION, config, sub,
+            cluster_to_wire(cluster, parent_wire=base_wire)]
 
 
 def _digest(data: Any) -> str:
@@ -267,109 +256,10 @@ def _digest(data: Any) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def cluster_content_keys(program: Program, clusters: Sequence[Cluster],
-                         callgraph: Optional[CallGraph] = None,
-                         max_cond_atoms: int = 4,
-                         budget: Optional[int] = None) -> List[str]:
-    """One content key per cluster, input order: a SHA-256 over exactly
-    what :func:`build_payload` encodes, read without building a payload.
-
-    The key covers each kept function after slicing (params, locals,
-    entry/exit, statements, successors), the stubs' names and params,
-    the globals used, the cluster (members, slice, parent slice, origin,
-    ``parent_size``), the knobs and :data:`PAYLOAD_VERSION`, in the
-    payload's own order, and shares :func:`_reduce` and the wire
-    encoders with it.  Two clusters therefore share a content key
-    exactly when their payloads — and so their fingerprints — are
-    equal (``tests/test_shipping_keys.py``).  Function digests are
-    memoized for the batch by ``(function, relevant indices)``, so
-    sibling clusters and the functions many slices pass through are
-    hashed once.
-    """
-    cg = callgraph or CallGraph(program)
-    config = {"max_cond_atoms": max_cond_atoms, "budget": budget}
-    bodies: Dict[Tuple[str, FrozenSet[int]], _Body] = {}
-    # (name, relevant indices) -> digest; a stub's indices are None.
-    digests: Dict[Tuple[str, Optional[FrozenSet[int]]], str] = {}
-    bases: Dict[int, Tuple[str, Dict[str, Any]]] = {}
-    keys: List[str] = []
-    for cluster in clusters:
-        base = _base_slice(cluster)
-        entry = bases.get(id(base))
-        if entry is None:
-            kept, stubs, globals_ = _reduce(program, cluster, cg, bodies)
-            functions = []
-            for name, rel, stmts in kept:
-                digest = digests.get((name, rel))
-                if digest is None:
-                    digest = digests[name, rel] = _digest(function_to_wire(
-                        program.functions[name], INLINE, stmts))
-                functions.append((name, digest))
-            for name in stubs:
-                digest = digests.get((name, None))
-                if digest is None:
-                    digest = digests[name, None] = _digest(function_to_wire(
-                        _stub(program.functions[name]), INLINE))
-                functions.append((name, digest))
-            sub = _digest([program.entry, functions,
-                           symbols_to_wire(globals_, INLINE)])
-            entry = bases[id(base)] = (sub, slice_to_wire(base, INLINE))
-        sub, base_wire = entry
-        wire = cluster_to_wire(cluster, INLINE, parent_wire=base_wire)
-        keys.append(_digest([PAYLOAD_VERSION, config, sub, wire]))
-    return keys
-
-
-def cluster_fingerprints(program: Program, clusters: Sequence[Cluster],
-                         callgraph: Optional[CallGraph] = None,
-                         max_cond_atoms: int = 4,
-                         budget: Optional[int] = None,
-                         known: Optional[Any] = None,
-                         encoded: Optional[List[int]] = None,
-                         ) -> List[str]:
-    """Payload fingerprints for a batch of clusters, input order — the
-    one place fingerprints are made.
-
-    Without ``known`` every cluster's payload is built (one shared
-    ``subprogram_cache`` across the batch, so sibling clusters serialize
-    their sub-program once) and hashed.  ``known`` maps content keys
-    (:func:`cluster_content_keys`) to fingerprints — a ``dict``, or
-    anything with ``get`` and item assignment: a cluster whose key it
-    holds takes the remembered fingerprint and builds nothing; only the
-    others are encoded.  Every cluster's key is then recorded in it.
-    The input index of every cluster whose payload was built is
-    appended to ``encoded``.
-
-    The fingerprints are byte-identical either way, which makes them
-    valid shard keys: the fleet coordinator routes by them without
-    paying for any cluster's actual FSCS analysis, and the keys agree
-    with the summary-cache identity every worker caches under.
-    """
-    cg = callgraph or CallGraph(program)
-    cache: Dict[int, Any] = {}
-    keys: Sequence[Optional[str]] = [None] * len(clusters)
-    if known is not None:
-        keys = cluster_content_keys(program, clusters, cg,
-                                    max_cond_atoms=max_cond_atoms,
-                                    budget=budget)
-    fingerprints: List[str] = []
-    for i, (cluster, key) in enumerate(zip(clusters, keys)):
-        fp = known.get(key) if known is not None else None
-        if fp is None:
-            payload = build_payload(program, cluster, cg,
-                                    max_cond_atoms=max_cond_atoms,
-                                    budget=budget, subprogram_cache=cache)
-            fp = payload_fingerprint(payload)
-            if encoded is not None:
-                encoded.append(i)
-        if known is not None:
-            known[key] = fp
-        fingerprints.append(fp)
-    return fingerprints
-
-
-def payload_fingerprint(payload: Dict[str, Any]) -> str:
-    """Content hash of a payload — the summary-cache key.
+def payload_fingerprint(payload: List[Any]) -> str:
+    """Content hash of an identity record (:func:`build_payload`) — the
+    cluster's key in the summary cache, the daemon's store, fleet
+    routing and fault selectors.
 
     Two clusters (across runs, across edited sources) share a
     fingerprint iff their sliced sub-programs, members, slices and
@@ -379,20 +269,26 @@ def payload_fingerprint(payload: Dict[str, Any]) -> str:
     return _digest(payload)
 
 
-def payload_program(payload: Dict[str, Any]) -> Program:
-    """Decode a payload's sub-program."""
-    fnames = payload["fnames"]
-    return program_from_wire(payload["subprogram"],
-                             decode_symbols(payload["syms"], fnames),
-                             fnames)
+def cluster_fingerprints(program: Program, clusters: Sequence[Cluster],
+                         callgraph: Optional[CallGraph] = None,
+                         max_cond_atoms: int = 4,
+                         budget: Optional[int] = None) -> List[str]:
+    """Fingerprints for a batch of clusters, input order — the one place
+    fingerprints are made: one identity record per cluster through one
+    shared batch memo, each hashed.
 
-
-def payload_cluster(payload: Dict[str, Any]) -> Cluster:
-    """Decode a payload's cluster."""
-    fnames = payload["fnames"]
-    return cluster_from_wire(payload["cluster"],
-                             decode_symbols(payload["syms"], fnames),
-                             fnames)
+    The fingerprints depend on nothing but the clusters' content, which
+    makes them valid shard keys: the fleet coordinator routes by them
+    without paying for any cluster's actual FSCS analysis, and the keys
+    agree with the summary-cache identity every worker caches under.
+    """
+    cg = callgraph or CallGraph(program)
+    memo: Dict[str, Any] = {}
+    # Both calls go through this module's globals, so a wrapper bound
+    # to either name (perfbench's ``shipping`` layer) sees every call.
+    return [payload_fingerprint(build_payload(
+        program, cluster, cg, max_cond_atoms=max_cond_atoms,
+        budget=budget, subprogram_cache=memo)) for cluster in clusters]
 
 
 def cluster_outcome(analysis: ClusterFSCS) -> Dict[str, Any]:

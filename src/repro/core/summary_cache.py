@@ -4,15 +4,15 @@ Khedker et al.'s lazy pointer analysis motivates not recomputing what a
 previous run already established.  Clusters make that easy: a cluster's
 analysis outcome is a pure function of its sliced sub-program, its
 member/slice sets and the analysis knobs — all of which
-:func:`~repro.core.shipping.payload_fingerprint` hashes into one content
-key.  Repeated ``repro analyze`` runs therefore skip every cluster whose
+:func:`~repro.core.shipping.payload_fingerprint` hashes into the
+cluster's content key.  Repeated ``repro analyze`` runs therefore skip every cluster whose
 fingerprint is already on disk, and editing a source file invalidates
 only the clusters whose sliced sub-programs actually changed.
 
 Directory layout (documented in README "Parallel execution"):
 
     <cache-dir>/
-        <aa>/<fingerprint>.json    # one outcome per cluster fingerprint
+        <aa>/<fingerprint>.json    # one outcome per cluster content key
         quarantine/<fingerprint>.json  # corrupted entries, moved aside
 
 where ``<aa>`` is the fingerprint's first two hex digits (keeps any

@@ -7,17 +7,22 @@ class ReproError(Exception):
     """Base class for all library errors."""
 
 
-class ParseError(ReproError):
-    """Raised by the frontend on malformed source."""
+class _SourceError(ReproError):
+    """A frontend error at a source position (``line`` 0: unknown)."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0) -> None:
+        self.message = message
         self.line = line
         self.column = column
         where = f" at {line}:{column}" if line else ""
         super().__init__(f"{message}{where}")
 
 
-class NormalizationError(ReproError):
+class ParseError(_SourceError):
+    """Raised by the frontend on malformed source."""
+
+
+class NormalizationError(_SourceError):
     """Raised when source uses a construct outside the supported subset."""
 
 

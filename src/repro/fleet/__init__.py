@@ -2,7 +2,7 @@
 
 ``repro fleet serve`` starts an asyncio front door that speaks the
 PR-3 JSON-lines protocol and consistent-hash-routes each query — keyed
-by cluster payload fingerprint — to the worker daemon whose caches are
+by cluster content key — to the worker daemon whose caches are
 warm for it.  See :mod:`repro.fleet.coordinator` for the full design:
 routing, admission control, shard-level circuit breakers, rerouting
 with tagged envelopes, and healing through the shared disk cache.

@@ -8,14 +8,14 @@ cannot tell a coordinator from a single daemon except by asking
 worker's bytes forwarded verbatim, which is how the fleet bench checks
 bit-identity against a lone daemon.
 
-Routing is by **cluster payload fingerprint**
+Routing is by **cluster content key**
 (:func:`~repro.core.shipping.cluster_fingerprints`): the coordinator
 parses and bootstraps each served file once — partitioning and
 clustering only, never the expensive per-cluster FSCS — and maps every
-pointer to the fingerprint of its primary cluster.  A ``points_to p``
+pointer to the content key of its primary cluster.  A ``points_to p``
 lands on the consistent-hash home of *p's cluster key*, which is also
 the worker whose summary cache is warm for that cluster, because the
-fingerprint **is** the cache key.  Homes are refined per file with
+content key **is** the cache key.  Homes are refined per file with
 bounded loads (:meth:`HashRing.assign`, weights = pointers per
 cluster): no shard carries more than ``(1 + balance_epsilon)`` times
 its fair share of a file's query traffic, so warm throughput scales
@@ -59,7 +59,7 @@ import hashlib
 import os
 import threading
 import time
-from collections import ChainMap, OrderedDict, deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
@@ -217,7 +217,7 @@ class RoutingState:
 
     Parsing + Steensgaard + Andersen clustering cost a small fraction
     of the per-cluster FSCS the workers run, and yield exactly the
-    payload fingerprints ``analyze_all`` would compute — so the
+    content keys ``analyze_all`` would compute — so the
     coordinator knows every cluster's cache identity without ever
     paying for its analysis, and the first query for a cluster pays the
     FSCS once, on the key's home worker.
@@ -225,18 +225,13 @@ class RoutingState:
 
     def __init__(self, path: str, stat: os.stat_result, program: Any,
                  fingerprints: List[str],
-                 pointer_key: Dict[str, str],
-                 content_keys: Dict[str, str]) -> None:
+                 pointer_key: Dict[str, str]) -> None:
         self.path = path
         self.mtime_ns = stat.st_mtime_ns
         self.size = stat.st_size
         self.program = program
         self.fingerprints = fingerprints
         self.pointer_key = pointer_key
-        #: Content key -> fingerprint for this file's clusters: the
-        #: ``known`` map the next build for this path starts from, so a
-        #: rebuild after an edit encodes only the clusters it changed.
-        self.content_keys = content_keys
         self.file_key = "file:" + hashlib.sha256(
             "\n".join(fingerprints).encode("utf-8")).hexdigest()
         #: key → home worker, filled in by :meth:`assign_homes` once
@@ -244,13 +239,8 @@ class RoutingState:
         self.homes: Dict[str, str] = {}
 
     @classmethod
-    def build(cls, path: str, config: ServerConfig,
-              previous: Optional["RoutingState"] = None) -> "RoutingState":
-        """Parse and cluster ``path``.  ``previous`` is the state this
-        one replaces: clusters whose content keys it knows take their
-        fingerprints from it instead of encoding a payload.  The new
-        state keeps only its own clusters' keys, so the map stays
-        bounded by the file's cluster count."""
+    def build(cls, path: str, config: ServerConfig) -> "RoutingState":
+        """Parse and cluster ``path``, and key every cluster."""
         from ..frontend import parse_program
         st = os.stat(path)
         with open(path, "r") as handle:
@@ -258,18 +248,15 @@ class RoutingState:
         program = parse_program(source, entry=config.entry, path=path)
         result = BootstrapAnalyzer(program,
                                    config.bootstrap_config()).run()
-        content_keys: Dict[str, str] = {}
         fps = cluster_fingerprints(
             program, result.clusters, result.callgraph,
             max_cond_atoms=config.max_cond_atoms,
-            budget=config.fscs_budget,
-            known=ChainMap(content_keys, previous.content_keys
-                           if previous is not None else {}))
+            budget=config.fscs_budget)
         pointer_key: Dict[str, str] = {}
         for cluster, fp in zip(result.clusters, fps):
             for var in cluster.members:
                 pointer_key.setdefault(str(var), fp)
-        return cls(path, st, program, fps, pointer_key, content_keys)
+        return cls(path, st, program, fps, pointer_key)
 
     def assign_homes(self, ring: HashRing, epsilon: float,
                      observed: Optional[Dict[str, int]] = None) -> None:
@@ -800,8 +787,7 @@ class FleetCoordinator:
             loop = asyncio.get_event_loop()
             try:
                 rs = await loop.run_in_executor(
-                    None, RoutingState.build, path,
-                    self.config.server, previous)
+                    None, RoutingState.build, path, self.config.server)
             except (ReproError, OSError, RequestError):
                 self._routing.pop(path, None)
                 return None

@@ -1,6 +1,6 @@
-"""Consistent-hash ring: cluster fingerprints to worker shards.
+"""Consistent-hash ring: cluster content keys to worker shards.
 
-The shard key is the existing cluster payload fingerprint
+The shard key is the cluster's content key
 (:func:`~repro.core.shipping.payload_fingerprint`) — content-addressed,
 stable across runs and across hosts, and exactly the identity the
 summary cache stores outcomes under, so "the worker that owns a key"

@@ -219,15 +219,22 @@ class Normalizer:
             self.func_types[fn.name] = ftype
             self.func_param_names[fn.name] = [p.name for p in fn.params]
             self.global_scope.define(fn.name, Var(fn.name), ftype)
-        self._global_inits: List[Tuple[A.Declarator, Var, CType]] = []
+        self._global_inits: List[Tuple[A.Declarator, Var]] = []
         for decl_stmt in self.unit.globals:
             for decl in decl_stmt.decls:
-                self._declare_global(decl)
+                try:
+                    self._declare_global(decl)
+                except NormalizationError as exc:
+                    raise _located(exc, decl) from None
         for fn in self.unit.functions:
-            self._lower_function(fn)
+            try:
+                self._lower_function(fn)
+            except NormalizationError as exc:
+                raise _located(exc, fn) from None
         if self.entry not in self.func_types:
+            # A whole-file error: placed at the file's start.
             raise NormalizationError(
-                f"entry function {self.entry!r} is not defined")
+                f"entry function {self.entry!r} is not defined", 1, 1)
         return self.builder.build(entry=self.entry)
 
     # ------------------------------------------------------------------
@@ -248,7 +255,7 @@ class Normalizer:
             for path, _stype in shadow_leaves(decl.type, self.structs):
                 self.builder.global_var(f"{decl.name}__{path}")
         if decl.init is not None:
-            self._global_inits.append((decl, var, decl.type))
+            self._global_inits.append((decl, var))
 
     # ------------------------------------------------------------------
     # functions
@@ -284,8 +291,11 @@ class Normalizer:
         self.builder._functions[fn.name] = em.finish()
 
     def _lower_global_inits(self) -> None:
-        for decl, var, ctype in self._global_inits:
-            self._lower_init(var, ctype, decl.init, decl.name)
+        for decl, var in self._global_inits:
+            try:
+                self._lower_init(var, decl, decl.name)
+            except NormalizationError as exc:
+                raise _located(exc, decl) from None
 
     # ------------------------------------------------------------------
     # variable helpers
@@ -319,6 +329,13 @@ class Normalizer:
     # statements
     # ------------------------------------------------------------------
     def _lower_stmt(self, stmt: A.Stmt) -> None:
+        try:
+            self._lower_stmt_kind(stmt)
+        except NormalizationError as exc:
+            # The innermost statement being lowered places the error.
+            raise _located(exc, stmt) from None
+
+    def _lower_stmt_kind(self, stmt: A.Stmt) -> None:
         em = self._em
         if getattr(stmt, "line", 0):
             em.default_span = Span(stmt.line, getattr(stmt, "col", 0))
@@ -504,24 +521,33 @@ class Normalizer:
         else:
             self._shadow_map(var, decl.type)
         if decl.init is not None:
-            self._lower_init(var, decl.type, decl.init, name)
+            self._lower_init(var, decl, name)
 
-    def _lower_init(self, var: Var, ctype: CType, init: A.Expr,
-                    name: str) -> None:
+    def _lower_init(self, var: Var, decl: A.Declarator, name: str) -> None:
+        """Lower ``decl``'s initializer into ``var``.  Lowering a part
+        moves the default span into it; each write anchors at the
+        declared name instead, as an assignment's does at its left
+        operand."""
+        init, ctype = decl.init, decl.type
+        at = Span(decl.line, decl.col)
+
+        def assign(target: Var, target_type: CType, part: A.Expr) -> None:
+            val = self._lower_expr(part)
+            self._em.default_span = at
+            self._assign_var(target, target_type, val)
+
         if isinstance(ctype, StructType):
             leaves = self.structs.flatten(ctype, name)
             parts = init.parts if isinstance(init, A.Comma) else [init]
             for (path, ftype), part in zip(leaves, parts):
-                leaf_var = (Var(path, var.function)
-                            if var.function else Var(path))
-                self._assign_var(leaf_var, ftype, self._lower_expr(part))
+                assign(Var(path, var.function) if var.function
+                       else Var(path), ftype, part)
             return
         if isinstance(init, A.Comma) and isinstance(ctype, ArrayType):
             for part in init.parts:
-                self._assign_var(var, element_type(ctype),
-                                 self._lower_expr(part))
+                assign(var, element_type(ctype), part)
             return
-        self._assign_var(var, ctype, self._lower_expr(init))
+        assign(var, ctype, init)
 
     # ------------------------------------------------------------------
     # assignment plumbing
@@ -1208,6 +1234,16 @@ class Normalizer:
             return Val(kind="var", ctype=ret_t, var=ret_var,
                        shadows=self._shadow_map(ret_var, ret_t))
         return Val(kind="opaque", ctype=ret_t)
+
+
+def _located(exc: NormalizationError,
+             node: Union[A.Node, A.Declarator]) -> NormalizationError:
+    """``exc`` placed at ``node``'s position (a statement's start, a
+    declared or defined name), unless it already has a location."""
+    line = getattr(node, "line", 0)
+    if exc.line or not line:
+        return exc
+    return NormalizationError(exc.message, line, getattr(node, "col", 0))
 
 
 def normalize(unit: A.TranslationUnit, structs: StructTable,

@@ -73,6 +73,9 @@ class Parser:
         self.structs = StructTable()
         self.typedefs: Dict[str, CType] = {}
         self._anon_counter = 0
+        #: ``(line, column)`` of the last declarator's name, set by
+        #: :meth:`_parse_declarator`.
+        self.name_at = (0, 0)
 
     # ------------------------------------------------------------------
     # token plumbing: ``pos`` never passes the eof token, so only a
@@ -147,10 +150,11 @@ class Parser:
         if isinstance(full_type, FuncType) and self.peek().is_punct("{"):
             if name is None:
                 raise self.error("function definition requires a name")
+            line, col = self.name_at
             body = self._parse_block()
             return A.FuncDef(name=name, ret=full_type.ret,
                              params=params or [], body=body,
-                             line=self.peek().line, col=self.peek().column)
+                             line=line, col=col)
         # Global declaration (possibly several declarators).
         decls = [self._finish_declarator(name, full_type)]
         while self.peek().is_punct(","):
@@ -165,8 +169,7 @@ class Parser:
         if name is None:
             raise self.error("declaration requires a name")
         init = None
-        line = self.peek().line
-        col = self.peek().column
+        line, col = self.name_at
         if self.peek().is_punct("="):
             self.next()
             init = self._parse_initializer()
@@ -292,6 +295,7 @@ class Parser:
             self._skip_qualifiers()
             typ = PointerType(typ)
         name: Optional[str] = None
+        name_at = (0, 0)
         inner_marker: Optional[int] = None
         if self.peek().is_punct("("):
             # Could be a parenthesized declarator `(*fp)` or a parameter
@@ -309,7 +313,8 @@ class Parser:
                     elif tok.kind == "eof":
                         raise self.error("unterminated declarator")
         elif self.peek().kind == "id":
-            name = self.next().text
+            tok = self.next()
+            name, name_at = tok.text, (tok.line, tok.column)
         # Suffixes: arrays and parameter lists (applied to `typ`).
         params: Optional[List[A.Param]] = None
         while True:
@@ -346,6 +351,8 @@ class Parser:
             self.pos = saved
             if inner_params is not None:
                 params = inner_params
+        else:
+            self.name_at = name_at
         return name, typ, params
 
     def _parse_params(self) -> List[A.Param]:

@@ -11,15 +11,9 @@ from .dot import (
 )
 from .printer import format_cfg, format_program
 from .serialize import (
-    SymbolTable,
-    cluster_from_wire,
     cluster_to_wire,
-    decode_symbols,
     program_from_dict,
-    program_from_wire,
     program_to_dict,
-    program_to_wire,
-    slice_from_wire,
     slice_to_wire,
 )
 from .program import Function, Program, param_var, retval_var
@@ -47,10 +41,7 @@ __all__ = [
     "NullAssign", "Program", "ProgramBuilder", "ReturnStmt", "Skip",
     "Span", "Statement", "Store", "Var", "andersen_dot", "callgraph_dot",
     "cutshortcut_dot", "format_cfg", "format_program", "steensgaard_dot",
-    "SymbolTable", "cluster_from_wire", "cluster_to_wire",
-    "decode_symbols",
-    "function_sentinel", "is_canonical", "param_var",
-    "program_from_dict", "program_from_wire",
-    "program_to_dict", "program_to_wire", "resolve_indirect_calls",
-    "retval_var", "slice_from_wire", "slice_to_wire",
+    "cluster_to_wire", "function_sentinel", "is_canonical", "param_var",
+    "program_from_dict", "program_to_dict", "resolve_indirect_calls",
+    "retval_var", "slice_to_wire",
 ]

@@ -3,15 +3,16 @@
 The paper decomposes FSCS alias analysis into small independent clusters
 — which also makes clusters the natural unit of *incrementality* and
 *demand*: an edit invalidates only the clusters whose sliced
-sub-programs (and hence payload fingerprints) changed, and a client
+sub-programs (and hence content keys) changed, and a client
 query needs only the clusters containing its pointers.  This package
 turns that observation into a long-running server:
 
 * :mod:`~repro.server.protocol` — the JSON-lines request/response
   protocol and its error codes;
 * :mod:`~repro.server.store` — the in-memory LRU cluster-outcome store
-  (keyed by :func:`~repro.core.shipping.payload_fingerprint`, optionally
-  backed by the on-disk :class:`~repro.core.summary_cache.SummaryCache`)
+  (keyed by each cluster's content key,
+  :func:`~repro.core.shipping.cluster_fingerprints`, optionally backed
+  by the on-disk :class:`~repro.core.summary_cache.SummaryCache`)
   and the per-file analysis state with incremental invalidation;
 * :mod:`~repro.server.daemon` — the threaded Unix-socket/TCP server
   (``repro serve``) with graceful SIGTERM draining;

@@ -3,28 +3,26 @@
 Two stores back the daemon:
 
 * :class:`ClusterStore` — a thread-safe in-memory LRU of per-cluster
-  analysis outcomes keyed by
-  :func:`~repro.core.shipping.payload_fingerprint`, optionally backed by
+  analysis outcomes keyed by each cluster's content key
+  (:func:`~repro.core.shipping.cluster_fingerprints`), optionally backed by
   the on-disk :class:`~repro.core.summary_cache.SummaryCache` (PR 2) so
   a daemon restart warm-starts from disk.  It is duck-compatible with
   the ``cache`` argument of
   :meth:`~repro.core.bootstrap.BootstrapResult.analyze_all`, which is
   exactly how incremental re-analysis works: a reload re-runs *only* the
-  clusters whose fingerprints miss the store.
+  clusters whose content keys miss the store.
 * :class:`FileStore` — an LRU of :class:`FileState` (parsed program +
   bootstrap result + per-cluster outcomes) keyed by absolute path, with
   one lock per file so concurrent queries on different files proceed in
   parallel while a reload of one file is serialized.
 
-Invalidation is fingerprint-based end to end: ``invalidate`` (or a
+Invalidation is content-key-based end to end: ``invalidate`` (or a
 changed mtime/content hash observed at query time) re-parses and
-re-bootstraps the file, then :meth:`FileState` re-analysis hits the
-cluster store for every cluster whose sliced sub-program is unchanged —
-so a one-function edit re-analyzes only the clusters whose slices pass
-through that function (the grain `tests/test_summary_cache.py` pins).
-The store also remembers each cluster's content key, so the reload
-encodes payloads only for those same clusters: an unchanged cluster's
-fingerprint comes from :attr:`ClusterStore.content_keys`.
+re-bootstraps the file, recomputes every cluster's content key, then
+:meth:`FileState` re-analysis hits the cluster store for every cluster
+whose sliced sub-program is unchanged — so a one-function edit
+re-analyzes only the clusters whose slices pass through that function
+(the grain `tests/test_summary_cache.py` pins).
 """
 
 from __future__ import annotations
@@ -169,20 +167,12 @@ class _LRU:
 
 
 class ClusterStore:
-    """Thread-safe LRU of cluster outcomes keyed by payload fingerprint.
+    """Thread-safe LRU of cluster outcomes keyed by content key.
 
     ``get``/``put`` match the :class:`SummaryCache` interface, so an
     instance can be passed straight to ``analyze_all(cache=...)``.  With
     a ``disk`` backing, reads fall through to disk (and promote into
     memory) and writes go to both, giving restarts a warm start.
-
-    :attr:`content_keys` remembers the payload fingerprint of every
-    cluster content key a load has seen (the ``known`` map of
-    :func:`~repro.core.shipping.cluster_fingerprints`, which
-    ``analyze_all`` picks up from its cache): a reload takes an
-    unchanged cluster's fingerprint from there and encodes only the
-    payloads of clusters the edit changed.  It is capped, like the
-    outcomes, at ``max_entries`` and lives only as long as the store.
     """
 
     def __init__(self, max_entries: int = 4096,
@@ -193,7 +183,6 @@ class ClusterStore:
         self.max_entries = max_entries
         self._lock = threading.RLock()
         self._mem = _LRU(max_entries, self._lock)
-        self.content_keys = _LRU(max_entries, self._lock)
         self.hits = 0
         self.misses = 0
 
@@ -231,7 +220,6 @@ class ClusterStore:
             return {
                 "entries": len(self._mem),
                 "max_entries": self.max_entries,
-                "content_keys": len(self.content_keys),
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
@@ -244,12 +232,11 @@ class RefreshStats:
     """Accounting of one (re)load of a file's analysis state."""
 
     clusters: int
-    reanalyzed: int   # cluster-store misses: fingerprints never seen
+    reanalyzed: int   # cluster-store misses: content keys never seen
     reused: int       # cluster-store hits: unchanged sliced sub-programs
     seconds: float
     reason: str       # "cold" | "changed" | "invalidate"
     degraded: int = 0  # clusters served at reduced precision
-    encoded: int = 0  # payloads built: clusters with new content keys
 
     @property
     def reanalyzed_fraction(self) -> float:
@@ -640,8 +627,7 @@ class FileStore:
             reused=report.cache_hits,
             seconds=time.perf_counter() - t0,
             reason=reason,
-            degraded=len(degraded),
-            encoded=report.encoded)
+            degraded=len(degraded))
         self.loads += 1
         state = FileState(path=path,
                           source_hash=_source_fingerprint(source),

@@ -87,6 +87,35 @@ class TestAnalyzeAll:
         report = boot.analyze_all(clusters=subset)
         assert len(report.results) == len(subset)
 
+    def test_no_cache_report_is_keyed_by_target_index(self):
+        """Without a cache every per-cluster field of the report is
+        keyed by the cluster's index in ``clusters``, makes no
+        fingerprint and counts no cache traffic."""
+        from repro.core import cluster_outcome, schedule_indices
+        from .test_cascade import big_partition_program
+        prog = big_partition_program(n_chains=6, chain_len=6)
+        config = BootstrapConfig(
+            cascade=CascadeConfig(andersen_threshold=5))
+        boot = BootstrapAnalyzer(prog, config).run()
+        order = list(range(len(boot.clusters)))[::-2]
+        targets = [boot.clusters[i] for i in order]
+        assert len(targets) >= 3
+        report = boot.analyze_all(clusters=targets, scheduler="lpt")
+        fresh = BootstrapAnalyzer(prog, config).run()
+        assert report.results == [
+            cluster_outcome(fresh.analysis_for(fresh.clusters[i]))
+            for i in order]
+        assert report.schedule == schedule_indices(
+            targets, config.parts, "lpt")
+        assert sorted(report.cluster_times) == list(range(len(targets)))
+        assert report.part_times == [
+            sum(report.cluster_times[i] for i in part)
+            for part in report.schedule]
+        assert report.attempts == {}
+        assert report.fingerprints is None
+        assert report.cache_hits == report.cache_misses == 0
+        assert (report.backend, report.scheduler) == ("simulate", "lpt")
+
     def test_fsci_shared_between_siblings(self):
         from .test_cascade import big_partition_program
         prog = big_partition_program(n_chains=6, chain_len=6)

@@ -476,16 +476,34 @@ int main() {
 }
 """
 
+#: A leaked allocation and a NULL pointer, each from a declaration's
+#: initializer.
+LEAK_INIT = """int main() {
+    int *p = malloc(4);
+    p = 0;
+    return 0;
+}
+"""
+NULL_INIT = """int x;
+int main() {
+    int *p = 0;
+    x = *p;
+    return 0;
+}
+"""
+
 
 class TestAssignmentSpans:
-    """An assignment's write is placed at its left operand, not at the
-    last operand of its right-hand side."""
+    """An assignment's write is placed at its left operand, and a
+    declaration initializer's at the declared name, not at the last
+    operand of the right-hand side."""
 
     #: case -> (source, verb and flags, (line, column) of the finding)
     CASES = {
         "race": (RACY_ASSIGN, ["races", "--threads", "t1,t2"], (3, 5)),
         "null-store": (NULL_STORE, ["check", "--checkers", "null-deref"],
                        (6, 5)),
+        "leak-init": (LEAK_INIT, ["check", "--checkers", "leak"], (2, 10)),
     }
 
     def test_race_demo(self, capsys):
@@ -515,6 +533,31 @@ class TestAssignmentSpans:
             region = result["locations"][0]["physicalLocation"]["region"]
             assert (region["startLine"], region["startColumn"]) \
                 == (line, column)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "sarif"])
+    def test_declared_name(self, fmt, tmp_path, capsys):
+        """The note that sets ``p`` to NULL in ``int *p = 0;`` points
+        at ``p`` (3:10), not at the ``0``."""
+        path = tmp_path / "init.c"
+        path.write_text(NULL_INIT)
+        args = ["check", str(path), "--checkers", "null-deref"]
+        if fmt == "text":
+            main(args)
+            assert "p set to NULL here (at 3:10)" in capsys.readouterr().out
+        elif fmt == "json":
+            main(args + ["--json"])
+            (finding,) = json.loads(capsys.readouterr().out)
+            (step,) = finding["trace"]
+            assert (step["note"], step["line"]) == ("p set to NULL here", 3)
+        else:
+            sarif = tmp_path / "out.sarif"
+            main(args + ["--sarif", str(sarif)])
+            (result,) = json.loads(sarif.read_text())["runs"][0]["results"]
+            (flow,) = result["codeFlows"]
+            first = flow["threadFlows"][0]["locations"][0]["location"]
+            assert first["message"]["text"] == "p set to NULL here"
+            region = first["physicalLocation"]["region"]
+            assert (region["startLine"], region["startColumn"]) == (3, 10)
 
 
 def _example(case):

@@ -131,6 +131,19 @@ class TestBadInput:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", sorted(FILE_VERBS))
+    def test_unsupported_construct(self, verb, tmp_path, capsys):
+        """Source that parses but leaves the supported subset is placed
+        at the statement that leaves it."""
+        path = tmp_path / "neg.c"
+        path.write_text("int a;\nint main() {\n    -a = 2;\n"
+                        "    return 0;\n}\n")
+        with pytest.raises(SystemExit) as exc:
+            main([verb, str(path)] + FILE_VERBS[verb])
+        message = str(exc.value.code)
+        assert message == f"repro: {path}: Unary is not assignable at 3:5"
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", sorted(FILE_VERBS))
     def test_unknown_entry(self, verb, driver_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main([verb, driver_file, "--entry", "nosuch"]

@@ -24,7 +24,7 @@ from repro.server import AliasServer, ServerClient, ServerConfig, protocol
 from repro.server import wait_for_server
 from repro.server.protocol import ServerError
 
-from .test_server import DEMO, DEMO_EDITED, count_payloads, result_of
+from .test_server import DEMO, DEMO_EDITED, fingerprints_of, result_of
 
 
 @pytest.fixture()
@@ -204,21 +204,14 @@ class TestRoutingState:
             for c in result.clusters}
         assert set(rs.fingerprints) == expected
 
-    def test_rebuild_after_edit_encodes_only_changed_clusters(
-            self, demo_file, monkeypatch):
+    def test_rebuild_after_edit_moves_only_changed_keys(self, demo_file):
         first = RoutingState.build(demo_file, ServerConfig())
-        assert set(first.content_keys.values()) == set(first.fingerprints)
         with open(demo_file, "w") as handle:
             handle.write(DEMO_EDITED)
-        encodes = count_payloads(monkeypatch)
-        second = RoutingState.build(demo_file, ServerConfig(),
-                                    previous=first)
+        second = RoutingState.build(demo_file, ServerConfig())
         changed = set(second.fingerprints) - set(first.fingerprints)
-        assert 0 < len(encodes) == len(changed) < len(second.fingerprints)
-        # Same keys as a cold build, and only this file's clusters kept.
-        assert second.fingerprints == \
-            RoutingState.build(demo_file, ServerConfig()).fingerprints
-        assert set(second.content_keys.values()) == set(second.fingerprints)
+        assert 0 < len(changed) < len(set(second.fingerprints))
+        assert second.fingerprints == fingerprints_of(DEMO_EDITED)
 
     def test_pointers_of_one_web_share_a_key(self, demo_file):
         rs = RoutingState.build(demo_file, ServerConfig())

@@ -388,3 +388,10 @@ class TestFuzzGate:
         for kernel, _ in outcomes:
             if kernel[0] == "ParseError":
                 assert kernel[2] >= 1 and kernel[3] >= 1, kernel
+
+    def test_normalization_errors_carry_a_position(self, outcomes):
+        rejected = [kernel for kernel, _ in outcomes
+                    if kernel[0] == "NormalizationError"]
+        assert rejected  # some mutants parse but leave the subset
+        for kernel in rejected:
+            assert kernel[2] >= 1 and kernel[3] >= 1, kernel

@@ -321,8 +321,7 @@ class TestClusterDeterminism:
 
 class TestBenchHarness:
     def test_smoke_records_identical_stages(self):
-        data = run_kernel_bench(name="ctrace", scale=0.004,
-                                skip_payload=True)
+        data = run_kernel_bench(name="ctrace", scale=0.004)
         assert data["stages"]["andersen"]["identical"]
         assert data["stages"]["fsci"]["identical"]
         summaries = data["stages"]["summaries"]
@@ -332,9 +331,17 @@ class TestBenchHarness:
         assert sliced["identical"]
         assert sliced["clusters"] == summaries["clusters"]
         assert sliced["iterations"] > 0
-        assert data["cold"]["kernel_time"] > 0
-        assert "payload" in data and data["payload"]["skipped"]
-        assert render(data)  # renders without the payload block
+        cold = data["cold"]
+        assert cold["kernel_time"] > 0
+        # The cold ratio is the median of interleaved repeats, and the
+        # stages report that same repeat.
+        assert cold["repeats"] == len(cold["speedups"]) == 3
+        assert cold["speedup"] == sorted(cold["speedups"])[1]
+        assert cold["kernel_time"] == pytest.approx(
+            data["stages"]["andersen"]["kernel_time"]
+            + data["stages"]["fsci"]["kernel_time"])
+        assert "payload" not in data
+        assert render(data)
 
     def _result(self, kernel, reference):
         return {

@@ -7,12 +7,13 @@ mis-assigned to cluster indices on the way back) shows up as a
 points-to difference against the in-process simulate backend.  These
 tests pin the contract: for every corpus program and example, both
 backends produce bit-identical per-cluster points-to sets, every
-cluster solved from its decoded payload alone equals its in-process
-solve (Theorem 6 — the equality the payload fingerprint's role as the
-summary-cache, daemon-store and fleet routing key rests on), the
-bitmask solver kernels agree with the frozenset reference solvers end
-to end, the corpus and the diagnostic commands are deterministic across
-hash seeds, and the report covers every cluster exactly once.
+cluster solved on its reduced program alone equals its whole-program
+solve (Theorem 6 — the equality the content key's role as the
+summary-cache, daemon-store and fleet routing key rests on, since the
+key hashes exactly that reduced program), the bitmask solver kernels
+agree with the frozenset reference solvers end to end, the corpus, its
+cluster keys and the diagnostic commands are deterministic across hash
+seeds, and the report covers every cluster exactly once.
 """
 
 import json
@@ -31,12 +32,7 @@ from repro.analysis.fscs import ClusterFSCS
 from repro.bench import corpus_configs, generate
 from repro.frontend import parse_program
 from repro.core import BootstrapAnalyzer, BootstrapConfig, CascadeConfig
-from repro.core.shipping import (
-    build_payload,
-    cluster_outcome,
-    payload_cluster,
-    payload_program,
-)
+from repro.core.shipping import cluster_outcome, cluster_subprogram
 from repro.ir import CallGraph
 
 #: Small enough that all twenty corpus programs stay CI-friendly.
@@ -179,61 +175,48 @@ class TestCorpusDifferential:
             [r["stats"] for r in off.results]
 
 
-def _payload_outcomes(boot):
-    """Every cluster solved from its payload alone, as a worker that
-    received payloads did: a JSON hop, a decode, and one FSCI run per
-    base slice shared by the siblings that carry the same sub-program
-    and parent slice (keyed by those wire fields and the symbol-table
-    prefix that gives their indices meaning)."""
+def _subprogram_outcomes(boot):
+    """Every cluster solved on its reduced program ``Prog_P`` alone
+    (:func:`cluster_subprogram`, the program its content key hashes),
+    with one FSCI run per base slice shared by the siblings that carry
+    the same sub-program, as a whole-program run shares it.  Siblings'
+    sub-programs differ at most in the globals their members keep."""
     shared = {}
-    subprograms = {}
     outcomes = []
     for cluster in boot.clusters:
-        payload = build_payload(boot.program, cluster, boot.callgraph,
-                                max_cond_atoms=boot.config.max_cond_atoms,
-                                budget=boot.config.fscs_budget,
-                                subprogram_cache=subprograms)
-        hop = json.loads(json.dumps(payload))
-        decoded = payload_cluster(hop)
-        wire = hop["cluster"]
-        key = json.dumps([hop["syms"][:hop["base_syms"]],
-                          hop["fnames"][:hop["base_fnames"]],
-                          hop["subprogram"],
-                          wire.get("parent_slice", wire["slice"])],
-                         sort_keys=True)
+        program = cluster_subprogram(boot.program, cluster, boot.callgraph)
+        base = cluster.parent_slice if cluster.parent_slice is not None \
+            else cluster.slice
+        key = (id(base), frozenset(program.globals))
         if key not in shared:
-            program = payload_program(hop)
             callgraph = CallGraph(program)
-            base = decoded.parent_slice if decoded.parent_slice is not None \
-                else decoded.slice
             probe = ClusterFSCS(program, cluster=(), tracked=base.vp,
                                 relevant=base.statements,
                                 callgraph=callgraph)
             shared[key] = (program, callgraph, probe.fsci)
         program, callgraph, fsci = shared[key]
-        config = hop["config"]
         outcomes.append(cluster_outcome(ClusterFSCS(
-            program, cluster=decoded.pointer_members,
-            tracked=decoded.slice.vp, relevant=decoded.slice.statements,
+            program, cluster=cluster.pointer_members,
+            tracked=cluster.slice.vp, relevant=cluster.slice.statements,
             callgraph=callgraph, fsci=fsci,
-            max_cond_atoms=config["max_cond_atoms"],
-            budget=config["budget"])))
+            max_cond_atoms=boot.config.max_cond_atoms,
+            budget=boot.config.fscs_budget)))
     return outcomes
 
 
 def _assert_payload_solves_agree(program):
     boot = _fresh(program)
-    decoded = _payload_outcomes(boot)
+    reduced = _subprogram_outcomes(boot)
     whole = boot.analyze_all()
-    assert [r["points_to"] for r in decoded] == _points_to(whole)
+    assert [r["points_to"] for r in reduced] == _points_to(whole)
     key = "summarized_functions"
-    assert [r["stats"][key] for r in decoded] == \
+    assert [r["stats"][key] for r in reduced] == \
         [r["stats"][key] for r in whole.results]
 
 
 class TestPayloadSolveDifferential:
-    """Theorem 6 end to end: a cluster's decoded ``Prog_P`` computes
-    exactly what the whole program computes for it."""
+    """Theorem 6 end to end: a cluster's reduced program ``Prog_P``
+    computes exactly what the whole program computes for it."""
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_corpus(self, name):
@@ -268,20 +251,26 @@ class TestExamplesDifferential:
 
 
 #: Runs the whole corpus through the kernel solvers and digests every
-#: per-cluster points-to set; both backends on one representative
-#: program pin the worker path.  Forked workers keep their parent's
-#: hash secret, so it is the several PYTHONHASHSEED values the test
-#: runs this script under that cover hash-order independence.
+#: cluster's content key and every per-cluster points-to set; both
+#: backends on one representative program pin the worker path.  The
+#: keys name on-disk cache entries and are made by coordinator and
+#: workers in different processes, so they must not depend on the hash
+#: seed.  Forked workers keep their parent's hash secret, so it is the
+#: several PYTHONHASHSEED values the test runs this script under that
+#: cover hash-order independence.
 _CORPUS_DIGEST_SCRIPT = """
 import hashlib, json, sys
 from repro.bench import corpus_configs, generate
 from repro.core import BootstrapAnalyzer, BootstrapConfig, CascadeConfig
+from repro.core import cluster_fingerprints
 
 digest = hashlib.sha256()
 for cfg in corpus_configs(scale=%r):
     program = generate(cfg).program
     config = BootstrapConfig(cascade=CascadeConfig(andersen_threshold=6))
     boot = BootstrapAnalyzer(program, config).run()
+    keys = cluster_fingerprints(program, boot.clusters, boot.callgraph)
+    digest.update(json.dumps(keys).encode())
     backends = (("simulate", {}), ("processes", {"jobs": 2})) \
         if cfg.name == "ctrace" else (("simulate", {}),)
     for backend, kw in backends:
@@ -296,9 +285,9 @@ print(digest.hexdigest())
 
 
 class TestCorpusHashSeedDeterminism:
-    """Satellite 2: the twenty-program corpus through the kernel
-    solvers produces one bit-identical digest under different
-    PYTHONHASHSEED values."""
+    """The twenty-program corpus through the kernel solvers produces
+    one bit-identical digest of cluster keys and outcomes under
+    different PYTHONHASHSEED values."""
 
     def test_corpus_digest_stable_across_hash_seeds(self, tmp_path):
         outs = set()

@@ -1,5 +1,6 @@
-"""IR JSON round-tripping."""
+"""IR JSON round-tripping, and the wire encoding content keys hash."""
 
+import hashlib
 import json
 
 import pytest
@@ -10,15 +11,10 @@ from repro.analysis import Andersen, execute
 from repro.bench import sources
 from repro.core import BootstrapAnalyzer, Cluster, RelevantSlice
 from repro.ir import (
-    SymbolTable,
-    cluster_from_wire,
     cluster_to_wire,
-    decode_symbols,
     format_program,
     program_from_dict,
     program_to_dict,
-    slice_from_wire,
-    slice_to_wire,
 )
 from repro.ir.cfg import Loc
 from repro.ir.statements import AllocSite, Var
@@ -151,154 +147,57 @@ def _sample_slice(reverse=False):
                          statements=frozenset(locs))
 
 
-def _wire_hop(encode):
-    """Encode through the wire codec with a fresh symbol table, then
-    send the encoding and its table through JSON."""
-    table = SymbolTable()
-    data = encode(table)
-    return json.loads(json.dumps(
-        {"data": data, "syms": table.syms, "fnames": table.fnames}))
-
-
-def _cluster_round_trip(cluster):
-    hop = _wire_hop(lambda table: cluster_to_wire(cluster, table))
-    objs = decode_symbols(hop["syms"], hop["fnames"])
-    return cluster_from_wire(hop["data"], objs, hop["fnames"])
-
-
-class TestClusterRoundTrip:
-    def test_slice_round_trips(self):
-        sl = _sample_slice()
-        hop = _wire_hop(lambda table: slice_to_wire(sl, table))
-        objs = decode_symbols(hop["syms"], hop["fnames"])
-        assert slice_from_wire(hop["data"], objs, hop["fnames"]) == sl
-
-    def test_cluster_round_trips(self):
-        sl = _sample_slice()
-        cluster = Cluster(members=sl.cluster, slice=sl, origin="andersen",
-                          parent_size=7, parent_slice=_sample_slice())
-        again = _cluster_round_trip(cluster)
-        assert again == cluster
-        assert again.parent_slice == cluster.parent_slice
-
-    def test_cluster_without_parent_round_trips(self):
-        sl = _sample_slice()
-        cluster = Cluster(members=sl.cluster, slice=sl,
-                          origin="steensgaard", parent_size=3)
-        again = _cluster_round_trip(cluster)
-        assert again == cluster
-        assert again.parent_slice is None
+class TestWireFormat:
+    """The one-way wire encoding that cluster content keys hash."""
 
     def test_equal_values_serialize_byte_identically(self):
-        """The summary cache hashes these encodings: set-iteration order
-        must never leak into the JSON or the symbol table."""
+        """The content key hashes these encodings: set-iteration order
+        must never leak into the JSON."""
         a, b = _sample_slice(), _sample_slice(reverse=True)
         assert a == b
-        blobs = {json.dumps(_wire_hop(lambda table: cluster_to_wire(
+        blobs = {json.dumps(cluster_to_wire(
             Cluster(members=sl.cluster, slice=sl, origin="andersen",
-                    parent_size=4, parent_slice=sl), table)),
-            sort_keys=True) for sl in (a, b)}
+                    parent_size=4, parent_slice=sl)), sort_keys=True)
+            for sl in (a, b)}
         assert len(blobs) == 1
 
-    def test_cascade_clusters_round_trip(self):
-        """Every cluster the real cascade produces survives shipment."""
-        boot = BootstrapAnalyzer(parse_program(SPAN_SOURCE)).run()
-        for cluster in boot.clusters:
-            assert _cluster_round_trip(cluster) == cluster
-
-
-class TestWireFormat:
-    """Version-2 interned encoding: round-trip identity and canonical
-    symbol order."""
-
-    def _table(self):
-        return SymbolTable()
-
-    @pytest.mark.parametrize("factory", ALL,
-                             ids=[f.__name__ for f in ALL])
-    def test_program_round_trips(self, factory):
-        from repro.ir import decode_symbols, program_from_wire, program_to_wire
-        program = factory()
-        table = self._table()
-        wire = json.loads(json.dumps(program_to_wire(program, table)))
-        objs = decode_symbols(table.syms, table.fnames)
-        again = program_from_wire(wire, objs, table.fnames)
-        assert format_program(again) == format_program(program)
-
-    @given(program=programs())
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_random_programs_round_trip(self, program):
-        from repro.ir import decode_symbols, program_from_wire, program_to_wire
-        table = self._table()
-        wire = json.loads(json.dumps(program_to_wire(program, table)))
-        objs = decode_symbols(table.syms, table.fnames)
-        again = program_from_wire(wire, objs, table.fnames)
-        assert format_program(again) == format_program(program)
-
-    def test_cluster_round_trips(self):
-        """A cluster encoded into a table that already holds other
-        symbols, as a payload's table does after its program, decodes
-        against that shared table."""
-        sl = _sample_slice()
-        cluster = Cluster(members=sl.cluster, slice=sl, origin="andersen",
-                          parent_size=7, parent_slice=_sample_slice())
-        table = self._table()
-        table.ref(Var("unrelated", "h"))
-        table.ref(AllocSite("B9"))
-        wire = json.loads(json.dumps(cluster_to_wire(cluster, table)))
-        objs = decode_symbols(table.syms, table.fnames)
-        again = cluster_from_wire(wire, objs, table.fnames)
-        assert again == cluster
-        assert again.parent_slice == cluster.parent_slice
-
-    def test_symbol_table_is_order_deterministic(self):
-        a, b = _sample_slice(), _sample_slice(reverse=True)
-        ta, tb = self._table(), self._table()
-        wa = json.dumps(slice_to_wire(a, ta), sort_keys=True)
-        wb = json.dumps(slice_to_wire(b, tb), sort_keys=True)
-        assert wa == wb
-        assert ta.syms == tb.syms and ta.fnames == tb.fnames
-
-    def test_clone_isolates_tails(self):
-        table = self._table()
-        table.ref(Var("p"))
-        clone = table.clone()
-        clone.ref(Var("q", "f"))
-        clone.fref("g")
-        assert len(table) == 1 and len(clone) == 2
-        assert table.fnames == [] and clone.fnames == ["f", "g"]
-
-
-class TestPayloadDecoding:
-    """Every payload decodes, after a JSON hop, to exactly the
-    sub-program and cluster it was built from."""
-
-    def test_payloads_decode_to_cluster_subprogram(self):
+    def test_payloads_hash_the_cluster_subprogram(self):
+        """A cluster's identity record digests exactly the program
+        ``cluster_subprogram`` builds (the program the Theorem 6
+        differential solves), function by function, beside the
+        cluster's own encoding and the knobs."""
         from repro.bench import build
         from repro.core import BootstrapConfig, CascadeConfig
         from repro.core.shipping import (
             PAYLOAD_VERSION,
             build_payload,
             cluster_subprogram,
-            payload_cluster,
-            payload_program,
         )
         from repro.ir import CallGraph
+        from repro.ir.serialize import function_to_wire, symbols_to_wire
+
+        def digest(data):
+            blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
         program = build("sendmail", scale=0.004).program
         config = BootstrapConfig(
             cascade=CascadeConfig(andersen_threshold=6))
         boot = BootstrapAnalyzer(program, config).run()
         callgraph = CallGraph(program)
-        cache = {}
+        memo = {}
         assert boot.clusters
         for i, cluster in enumerate(boot.clusters):
-            payload = build_payload(program, cluster, callgraph=callgraph,
-                                    subprogram_cache=cache)
-            hop = json.loads(json.dumps(payload))
-            assert hop["version"] == PAYLOAD_VERSION
-            assert format_program(payload_program(hop)) == format_program(
-                cluster_subprogram(program, cluster, callgraph)), i
-            assert payload_cluster(hop) == cluster, i
-            assert hop["config"] == {"max_cond_atoms": config.max_cond_atoms,
-                                     "budget": config.fscs_budget}
+            record = build_payload(program, cluster, callgraph=callgraph,
+                                   subprogram_cache=memo)
+            assert json.loads(json.dumps(record)) == record, i
+            sub = cluster_subprogram(program, cluster, callgraph)
+            functions = [(name, digest(function_to_wire(fn)))
+                         for name, fn in sub.functions.items()]
+            assert record == [
+                PAYLOAD_VERSION,
+                {"max_cond_atoms": config.max_cond_atoms,
+                 "budget": config.fscs_budget},
+                digest([sub.entry, functions,
+                        symbols_to_wire(sub.globals)]),
+                cluster_to_wire(cluster)], i

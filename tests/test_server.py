@@ -16,7 +16,6 @@ from repro.core import (
     payload_fingerprint,
     resolve_pointer,
 )
-from repro.core.shipping import cluster_content_keys
 from repro.frontend import parse_program
 from repro.ir import Loc
 from repro.server import (
@@ -97,10 +96,11 @@ def fresh_points_to(source, name):
 
 
 def fingerprints_of(source):
+    """Every cluster's content key, cluster order."""
     program = parse_program(source, entry="main")
     result = BootstrapAnalyzer(program).run()
-    return {payload_fingerprint(build_payload(program, c, result.callgraph))
-            for c in result.clusters}
+    return [payload_fingerprint(build_payload(program, c, result.callgraph))
+            for c in result.clusters]
 
 
 # ----------------------------------------------------------------------
@@ -378,8 +378,9 @@ class TestIncrementality:
             handle.write(DEMO_EDITED)
         refresh = result_of(server, "invalidate", file=demo_file)
         # Independently computed ground truth: the clusters whose
-        # payload fingerprints changed between the two programs.
-        changed = fingerprints_of(DEMO_EDITED) - fingerprints_of(DEMO)
+        # content keys changed between the two programs.
+        changed = set(fingerprints_of(DEMO_EDITED)) \
+            - set(fingerprints_of(DEMO))
         assert refresh["reanalyzed"] == len(changed)
         assert 0 < refresh["reanalyzed"] < refresh["clusters"]
         assert refresh["reused"] == refresh["clusters"] \
@@ -460,59 +461,24 @@ def test_invalidate_respects_max_files(tmp_path):
     assert files.paths() == [paths[-1]]
 
 
-def count_payloads(monkeypatch):
-    """Record every ``build_payload`` call a load makes (all of them go
-    through ``cluster_fingerprints``); returns the list the calls'
-    clusters are appended to."""
-    from repro.core import shipping
-    calls = []
-    original = shipping.build_payload
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(shipping, "build_payload", counting)
-    return calls
-
-
-@pytest.fixture()
-def encodes(monkeypatch):
-    return count_payloads(monkeypatch)
-
-
-def content_keys_of(source):
-    program = parse_program(source, entry="main")
-    result = BootstrapAnalyzer(program).run()
-    return set(cluster_content_keys(program, result.clusters,
-                                    result.callgraph))
-
-
 class TestReloadEncoding:
-    """A reload encodes payloads only for clusters with new content."""
+    """A reload keys every cluster and re-solves only new content."""
 
-    def test_noop_invalidate_encodes_nothing(self, server, demo_file,
-                                             encodes):
+    def test_noop_invalidate_reanalyzes_nothing(self, server, demo_file):
         cold = result_of(server, "points_to", file=demo_file, ptr="q")
-        assert len(encodes) == server.files.states()[0].refresh.encoded
-        encodes.clear()
         refresh = result_of(server, "invalidate", file=demo_file)
-        assert encodes == []
-        assert refresh["encoded"] == 0 and refresh["reanalyzed"] == 0
+        assert refresh["reanalyzed"] == 0
+        assert refresh["reused"] == refresh["clusters"]
+        assert "encoded" not in refresh
         assert result_of(server, "points_to", file=demo_file,
                          ptr="q") == cold
 
-    def test_edit_encodes_only_new_content_keys(self, server, demo_file,
-                                                encodes):
+    def test_edit_answers_equal_a_fresh_daemons(self, server, demo_file):
         result_of(server, "points_to", file=demo_file, ptr="u")
         with open(demo_file, "w") as handle:
             handle.write(DEMO_EDITED)
-        encodes.clear()
         refresh = result_of(server, "invalidate", file=demo_file)
-        new_keys = content_keys_of(DEMO_EDITED) - content_keys_of(DEMO)
-        assert len(encodes) == refresh["encoded"] == len(new_keys)
-        assert 0 < refresh["encoded"] < refresh["clusters"]
-        # Answers equal a fresh daemon's on the edited file.
+        assert 0 < refresh["reanalyzed"] < refresh["clusters"]
         fresh = AliasServer(ServerConfig())
         program = parse_program(DEMO_EDITED, entry="main")
         for p in sorted(program.pointers, key=str):
@@ -520,20 +486,7 @@ class TestReloadEncoding:
                              ptr=str(p)) == \
                 result_of(fresh, "points_to", file=demo_file, ptr=str(p))
 
-    def test_key_map_is_capped_at_max_clusters(self, demo_file):
-        server = AliasServer(ServerConfig(max_clusters=3))
-        result_of(server, "points_to", file=demo_file, ptr="q")
-        assert server.files.states()[0].refresh.clusters > 3
-        store = server.files.clusters
-        assert len(store.content_keys) == 3
-        with open(demo_file, "w") as handle:
-            handle.write(DEMO_EDITED)
-        result_of(server, "invalidate", file=demo_file)
-        assert len(store.content_keys) == 3
-        assert store.stats()["content_keys"] == 3
-
-    def test_evicted_outcome_with_remembered_key_is_resolved(
-            self, demo_file, encodes):
+    def test_evicted_outcome_is_resolved_identically(self, demo_file):
         server = AliasServer(ServerConfig(max_clusters=64))
         program = parse_program(DEMO, entry="main")
         before = {str(p): result_of(server, "points_to", file=demo_file,
@@ -543,10 +496,7 @@ class TestReloadEncoding:
         clusters = server.files.states()[0].refresh.clusters
         for i in range(64):                  # push every outcome out
             store.put(f"filler-{i}", {"points_to": {}})
-        assert len(store.content_keys) == clusters
-        encodes.clear()
         refresh = result_of(server, "invalidate", file=demo_file)
-        assert encodes == [] and refresh["encoded"] == 0
         assert refresh["reanalyzed"] == clusters
         after = {str(p): result_of(server, "points_to", file=demo_file,
                                    ptr=str(p))

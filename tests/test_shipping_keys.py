@@ -1,19 +1,21 @@
-"""Content keys are exact: equal keys iff equal payload fingerprints.
+"""Content keys are exact: clusters with equal keys have equal outcomes,
+and every part of a cluster's reduced program moves its key.
 
-A daemon reload takes an unchanged cluster's fingerprint from the
-content key it remembers instead of encoding the payload
-(:func:`repro.core.shipping.cluster_fingerprints` with ``known``).
-That is only sound if no two clusters with different payloads share a
-key, and only pays if clusters with equal payloads do share one.  The
-property is checked over every cluster of the corpus, the hand-written
-sources, the examples and a stream of one-function edits, under four
-cascade configurations; the mutation cases pin which edits move a key.
+A cluster's content key (:func:`repro.core.shipping.cluster_fingerprints`)
+names its outcome in the summary cache, the daemon's store and the
+fleet's routing.  That is only sound if two clusters with the same key
+compute the same outcome, and only pays if clusters with equal content
+do share one.  The first property is checked over every cluster of the
+corpus, the hand-written sources, the examples and a stream of
+one-function edits, under four cascade configurations: for every key
+held by clusters of two different (program, configuration) pairs, one
+member of each is solved and the outcomes compared.  The mutation cases
+pin that each part of the key's record moves it.
 """
 
 import glob
 import os
 import re
-from collections import defaultdict
 from dataclasses import replace
 
 import pytest
@@ -25,8 +27,8 @@ from repro.core import BootstrapAnalyzer, BootstrapConfig, CascadeConfig
 from repro.core import shipping
 from repro.core.shipping import (
     build_payload,
-    cluster_content_keys,
     cluster_fingerprints,
+    cluster_outcome,
     payload_fingerprint,
 )
 from repro.frontend import parse_program
@@ -80,66 +82,70 @@ def programs():
 
 @pytest.fixture(scope="module")
 def keyed():
-    """``(program, config, content key, fingerprint)`` per cluster."""
+    """Every cluster's key, with the (program, configuration) pair it
+    came from, and each pair's bootstrap result by that pair."""
     rows = []
+    results = {}
     for name, program in programs():
         for config_name, config in CONFIGS.items():
             result = BootstrapAnalyzer(
                 program, BootstrapConfig(cascade=config)).run()
-            keys = cluster_content_keys(program, result.clusters,
+            results[name, config_name] = result
+            keys = cluster_fingerprints(program, result.clusters,
                                         result.callgraph)
-            fps = cluster_fingerprints(program, result.clusters,
-                                       result.callgraph)
-            rows.extend((name, config_name, k, fp)
-                        for k, fp in zip(keys, fps))
-    return rows
+            rows.extend(((name, config_name), i, key)
+                        for i, key in enumerate(keys))
+    return rows, results
 
 
-def test_keys_and_fingerprints_are_in_bijection(keyed):
-    fp_of = defaultdict(set)
-    key_of = defaultdict(set)
-    for _, _, key, fp in keyed:
-        fp_of[key].add(fp)
-        key_of[fp].add(key)
-    assert all(len(fps) == 1 for fps in fp_of.values()), \
-        "one content key named two different payloads"
-    assert all(len(keys) == 1 for keys in key_of.values()), \
-        "one payload got two content keys"
-    assert len(fp_of) == len(key_of)
+def test_equal_keys_give_equal_outcomes(keyed):
+    rows, results = keyed
+    members = {}
+    for pair, i, key in rows:
+        members.setdefault(key, {}).setdefault(pair, i)
+    shared = 0
+    for key, by_pair in members.items():
+        if len(by_pair) < 2:
+            continue
+        shared += 1
+        (pair_a, i), (pair_b, j) = list(by_pair.items())[:2]
+        a, b = results[pair_a], results[pair_b]
+        outcome_a = cluster_outcome(a.analysis_for(a.clusters[i]))
+        outcome_b = cluster_outcome(b.analysis_for(b.clusters[j]))
+        assert outcome_a["points_to"] == outcome_b["points_to"], \
+            (key, pair_a, pair_b)
+        assert outcome_a["stats"] == outcome_b["stats"], \
+            (key, pair_a, pair_b)
     # Sharing is real: the edit stream and the configurations repeat
-    # most clusters, so far fewer keys than clusters.
-    assert len(fp_of) < len(keyed) / 2
+    # most clusters, so far fewer keys than clusters, and many keys
+    # span two pairs.
+    assert len(members) < len(rows) / 2
+    assert shared > len(members) / 4
+
+
+def test_remembered_fingerprints_are_the_built_ones():
+    """The batch memo of :func:`cluster_fingerprints` remembers sliced
+    bodies, function digests and base-slice entries; the fingerprints
+    it returns are the ones each cluster's record gives built alone."""
+    text = generate_source(SynthConfig(name="gen64", pointers=64, seed=5))
+    program = parse_program(text, entry="main")
+    result = BootstrapAnalyzer(program).run()
+    batch = cluster_fingerprints(program, result.clusters,
+                                 result.callgraph)
+    assert batch == [payload_fingerprint(build_payload(
+        program, c, CallGraph(program))) for c in result.clusters]
+    assert len(set(batch)) > 1
 
 
 def test_every_source_group_is_covered(keyed):
-    names = {name.split("/")[0] for name, _, _, _ in keyed}
+    rows, _ = keyed
+    names = {name.split("/")[0] for (name, _), _, _ in rows}
     assert {row.name for row in PAPER_TABLE1} <= names
     assert set(sources.names()) <= names
     assert {os.path.basename(p) for p in
             glob.glob(os.path.join(EXAMPLES, "*.c"))} <= names
     assert {"gen64", "gen400"} <= names
-    assert {c for _, c, _, _ in keyed} == set(CONFIGS)
-
-
-def test_remembered_fingerprints_are_the_built_ones():
-    """Through a ``known`` map, a second batch builds nothing and still
-    returns the built fingerprints, byte for byte."""
-    text = generate_source(SynthConfig(name="gen64", pointers=64, seed=5))
-    program = parse_program(text, entry="main")
-    result = BootstrapAnalyzer(program).run()
-    known = {}
-    encoded = []
-    first = cluster_fingerprints(program, result.clusters,
-                                 result.callgraph, known=known,
-                                 encoded=encoded)
-    assert first == [payload_fingerprint(build_payload(
-        program, c, result.callgraph)) for c in result.clusters]
-    assert len(encoded) == len(set(first))
-    again = []
-    assert cluster_fingerprints(program, result.clusters,
-                                result.callgraph, known=known,
-                                encoded=again) == first
-    assert again == []
+    assert {c for (_, c), _, _ in rows} == set(CONFIGS)
 
 
 # ----------------------------------------------------------------------
@@ -194,34 +200,32 @@ def cluster_of(program, pointer="t"):
     return cluster
 
 
-def key_and_fingerprint(program, cluster, **knobs):
-    callgraph = CallGraph(program)
-    [key] = cluster_content_keys(program, [cluster], callgraph, **knobs)
-    return key, payload_fingerprint(build_payload(program, cluster,
-                                                  callgraph, **knobs))
+def key_of(program, cluster, **knobs):
+    [key] = cluster_fingerprints(program, [cluster], CallGraph(program),
+                                 **knobs)
+    return key
 
 
 def test_sliced_assignment_edit_moves_nothing():
     """``p = &a`` sits in ``main``, which the {t, u} cluster keeps, but
-    it is no part of that slice: it ships as a skip either way."""
+    it is no part of that slice: it is sliced to a skip either way."""
     before, after = (parse(BASE), parse(BASE.replace("p = &a;", "p = &b;")))
-    assert key_and_fingerprint(after, cluster_of(after)) == \
-        key_and_fingerprint(before, cluster_of(before))
+    assert key_of(after, cluster_of(after)) == \
+        key_of(before, cluster_of(before))
 
 
 def test_new_call_target_moves_both():
     """The indirect call in ``main`` gains the target ``extra``: no
     node of a kept function changes, only the call's targets (which
-    statement equality ignores) and the stub set."""
+    statement equality ignores) and the stub set: both move the key."""
     before = parse(INDIRECT)
     after = parse(INDIRECT.replace("fp = &other; }",
                                    "fp = &other; fp = &extra; }"))
-    old_key, old_fp = key_and_fingerprint(before, cluster_of(before))
-    new_key, new_fp = key_and_fingerprint(after, cluster_of(after))
-    assert new_key != old_key and new_fp != old_fp
+    assert key_of(after, cluster_of(after)) != \
+        key_of(before, cluster_of(before))
 
 
-#: In-place changes to BASE's program, one payload part each, seen
+#: In-place changes to BASE's program, one record part each, seen
 #: from the {t, u} cluster: ``bind_tu`` and ``main`` are kept and
 #: ``other`` is a stub.
 PROGRAM_CHANGES = {
@@ -258,12 +262,13 @@ KNOB_CHANGES = {"max_cond_atoms": {"max_cond_atoms": 5},
 @pytest.mark.parametrize("change", [*PROGRAM_CHANGES, *CLUSTER_CHANGES,
                                     *KNOB_CHANGES, "version"])
 def test_each_payload_part_moves_both(change, monkeypatch):
-    """Whatever one part of the payload changes, key and fingerprint
-    both move: the key covers every part, not only the parts that real
-    edits happen to change together."""
+    """Whatever one part of the identity record changes, the key moves:
+    it covers every part of the reduced program, the cluster and the
+    knobs, not only the parts that real edits happen to change
+    together."""
     program = parse(BASE)
     cluster = cluster_of(program)
-    old_key, old_fp = key_and_fingerprint(program, cluster)
+    old_key = key_of(program, cluster)
     if change in PROGRAM_CHANGES:
         PROGRAM_CHANGES[change](program)
     elif change in CLUSTER_CHANGES:
@@ -271,6 +276,5 @@ def test_each_payload_part_moves_both(change, monkeypatch):
     elif change == "version":
         monkeypatch.setattr(shipping, "PAYLOAD_VERSION",
                             shipping.PAYLOAD_VERSION + 1)
-    new_key, new_fp = key_and_fingerprint(program, cluster,
-                                          **KNOB_CHANGES.get(change, {}))
-    assert new_key != old_key and new_fp != old_fp
+    assert key_of(program, cluster,
+                  **KNOB_CHANGES.get(change, {})) != old_key
