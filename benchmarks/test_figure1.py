@@ -7,7 +7,7 @@ the figure's data.  CLI: ``python -m repro.bench.figure1``.
 
 import pytest
 
-from repro.bench import compute_figure1, run_figure1
+from repro.bench.figure1 import compute_figure1, run_figure1
 
 
 class TestFigure1:

@@ -17,7 +17,8 @@ Full-table CLI: ``python -m repro.bench.table1``.
 import pytest
 
 from repro.analysis import Steensgaard, whole_program_fscs
-from repro.bench import build, measure_program
+from repro.bench import build
+from repro.bench.table1 import measure_program
 from repro.core import BootstrapConfig, BootstrapResult, CascadeConfig, \
     run_cascade
 from repro.errors import AnalysisBudgetExceeded

@@ -1,6 +1,13 @@
-"""Benchmark workloads and harnesses for the paper's tables and figures."""
+"""Benchmark workloads and harnesses for the paper's tables and figures.
 
-from .cascade import run_cascade_bench
+The package exports the corpus, the program generator and the timing
+helpers.  Each harness is a submodule run with ``python -m
+repro.bench.<name>`` (cascade, demand, figure1, parallel,
+profile_solvers, resilience, table1, taint, ...); import its functions
+from that submodule, so that running it as ``__main__`` does not find
+it imported already.
+"""
+
 from .corpus import (
     HIGHLIGHTS,
     PAPER_BY_NAME,
@@ -11,11 +18,6 @@ from .corpus import (
     fp_heavy,
     fp_heavy_config,
 )
-from .demand import run_demand_bench
-from .figure1 import Figure1Data, compute_figure1, run_figure1
-from .parallel import run_parallel_bench
-from .profile_solvers import run_kernel_bench
-from .resilience import run_resilience_bench
 from .metrics import (
     TIMEOUT,
     Timed,
@@ -27,20 +29,13 @@ from .metrics import (
     timed_with_budget,
 )
 from .synth import SynthConfig, SynthProgram, generate, generate_source
-from .table1 import Table1Row, measure_program, run_table1, shape_report
-from .taint import run_taint_bench
 
 __all__ = [
     "HIGHLIGHTS", "PAPER_BY_NAME", "PAPER_TABLE1", "PaperRow", "TIMEOUT",
-    "Table1Row", "Timed", "Figure1Data", "SynthConfig", "SynthProgram",
-    "ascii_histogram", "build", "compute_figure1",
+    "Timed", "SynthConfig", "SynthProgram",
+    "ascii_histogram", "build",
     "corpus_configs", "format_csv", "format_table", "fp_heavy",
     "fp_heavy_config", "generate",
-    "generate_source", "measure_program", "ratio", "run_cascade_bench",
-    "run_demand_bench",
-    "run_figure1", "run_kernel_bench",
-    "run_parallel_bench", "run_resilience_bench", "run_table1",
-    "run_taint_bench",
-    "shape_report", "timed",
+    "generate_source", "ratio", "timed",
     "timed_with_budget",
 ]

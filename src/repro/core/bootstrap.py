@@ -88,11 +88,11 @@ class BootstrapResult:
             # pass over the partition's slice (a sound superset of each
             # sub-cluster's own slice).
             fsci = None
-            parent = cluster.parent_slice
-            if parent is not None:
-                cache_key = parent.statements
+            cache_key = cluster.fsci_key
+            if cache_key is not None:
                 fsci = self._fsci_cache.get(cache_key)
                 if fsci is None:
+                    parent = cluster.parent_slice
                     probe = ClusterFSCS(
                         self.program, cluster=(),
                         tracked=parent.vp, relevant=parent.statements,

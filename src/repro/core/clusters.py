@@ -50,6 +50,16 @@ class Cluster:
     def pointer_members(self) -> FrozenSet[Var]:
         return frozenset(m for m in self.members if isinstance(m, Var))
 
+    @property
+    def fsci_key(self) -> Optional[FrozenSet[Loc]]:
+        """The key under which siblings share one FSCI pass: the parent
+        slice's statements (``None`` for a cluster that runs its own).
+        The analysis memo caches by it, and the processes backend keeps
+        the clusters of one key in one worker."""
+        if self.parent_slice is None:
+            return None
+        return self.parent_slice.statements
+
     def __len__(self) -> int:
         return len(self.members)
 

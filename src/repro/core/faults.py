@@ -35,7 +35,7 @@ Fault kinds
     Fails (``RuntimeError``) the first time each fingerprint is seen and
     succeeds afterwards — the retry path's happy case.  Cross-process
     attempt memory is a marker file under ``token_dir``, so the fault
-    stays deterministic across pool replacements.
+    stays deterministic across forked workers.
 
 Stamps live beside the clusters' keys, never inside them, so injecting
 a fault never changes a cluster's cache identity.
@@ -51,8 +51,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 #: The supported fault kinds.
 FAULT_KINDS = ("crash", "hang", "corrupt", "flaky-once")
 
-#: Exit status of a worker killed by a ``crash`` fault (distinctive in
-#: process listings; the parent only ever observes ``BrokenProcessPool``).
+#: Exit status of a worker killed by a ``crash`` fault (the parent
+#: reports it in the failed cluster's error).
 CRASH_EXIT_CODE = 113
 
 

@@ -12,12 +12,17 @@ This module additionally provides a real execution backend behind one
 
 * ``simulate`` — the paper's setup: run sequentially, account time per
   scheduled part;
-* ``processes`` — a ``ProcessPoolExecutor`` forked after the cascade:
-  the workers inherit the analyzed program, its clusters and the
-  per-cluster task, each scheduled part travels as a list of cluster
-  indices, and only ``(cpu seconds, outcome)`` pairs come back — the
-  real multi-core execution the paper's Table 1 "5 machines" column
-  simulates.
+* ``processes`` — one child per scheduled part, forked after the
+  cascade: the child inherits the analyzed program, its clusters, the
+  per-cluster task and its part's cluster indices, and streams one
+  ``(index, cpu seconds, outcome)`` message per cluster back over its
+  own pipe — the real multi-core execution the paper's Table 1 "5
+  machines" column simulates.  Its parts are built from *sibling
+  units* (the clusters that share one FSCI pass,
+  :attr:`~repro.core.clusters.Cluster.fsci_key`), so each shared FSCI
+  runs once, in one worker, as it does in process.  A child that dies
+  or stalls costs only the cluster it was running: the rest of its part
+  is forked again, and failed clusters are retried together in rounds.
 
 and a second scheduler: :func:`lpt_parts` assigns clusters
 longest-processing-time-first by a per-cluster cost estimate
@@ -29,15 +34,17 @@ maximum part cost is never worse than the paper's heuristic.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
+import os
+import selectors
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, Pipe
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     Generic,
     List,
@@ -160,17 +167,39 @@ def lpt_parts(clusters: Sequence[Cluster], parts: int = 5,
     return [[clusters[i] for i in part] for part in schedule]
 
 
+def sibling_units(clusters: Sequence[Cluster]) -> List[List[int]]:
+    """Cluster indices grouped into scheduling units, in order of first
+    appearance: the clusters of one :attr:`Cluster.fsci_key` form one
+    unit (they share one FSCI pass), and a cluster without a key is a
+    unit alone."""
+    units: Dict[object, List[int]] = {}
+    for i, cluster in enumerate(clusters):
+        key = cluster.fsci_key
+        units.setdefault(i if key is None else key, []).append(i)
+    return list(units.values())
+
+
 def schedule_indices(clusters: Sequence[Cluster], parts: int,
-                     scheduler: str = "greedy") -> List[List[int]]:
+                     scheduler: str = "greedy",
+                     siblings: bool = False) -> List[List[int]]:
     """Cluster indices per part under the chosen scheduler.  Index-based
     so duplicate (equal or even identical) clusters in the input keep
-    distinct schedule slots."""
+    distinct schedule slots.  With ``siblings`` the scheduler places
+    :func:`sibling_units` whole, each costed at the sum of its members'
+    costs, so no FSCI pass is split across parts."""
     if scheduler == "greedy":
-        return greedy_index_parts([c.size for c in clusters], parts)
-    if scheduler == "lpt":
-        return lpt_index_parts([cluster_cost(c) for c in clusters], parts)
-    raise ValueError(f"unknown scheduler {scheduler!r} "
-                     f"(have: {', '.join(SCHEDULERS)})")
+        cost: Callable[[Cluster], float] = lambda c: c.size
+        split = greedy_index_parts
+    elif scheduler == "lpt":
+        cost, split = cluster_cost, lpt_index_parts
+    else:
+        raise ValueError(f"unknown scheduler {scheduler!r} "
+                         f"(have: {', '.join(SCHEDULERS)})")
+    units = sibling_units(clusters) if siblings \
+        else [[i] for i in range(len(clusters))]
+    costs = [sum(cost(clusters[i]) for i in unit) for unit in units]
+    return [[i for u in part for i in units[u]]
+            for part in split(costs, parts)]
 
 
 # ----------------------------------------------------------------------
@@ -238,33 +267,66 @@ class ParallelReport:
         return [self.cluster_status(i) for i in range(len(self.results))]
 
 
-#: The per-cluster task of the run a pool worker was forked for.  Set
-#: only inside workers (by :func:`_init_worker`); the parent never
-#: holds one, so nothing survives into the next program's run.
-_WORKER_TASK: Optional[Callable[[int], object]] = None
+@dataclass
+class _Child:
+    """One forked worker: its pid, the read end of its pipe, the part it
+    serves, the indices it has not reported yet, and the monotonic time
+    by which it must report the next one."""
+
+    pid: int
+    conn: Connection
+    part_no: int
+    todo: List[int]
+    deadline: float
 
 
-def _init_worker(task: Callable[[int], object]) -> None:
-    """Pool initializer.  Under ``fork`` the initializer's arguments
-    reach the child by inheritance and are never pickled, so ``task``
-    may close over the whole analyzed program."""
-    global _WORKER_TASK
-    _WORKER_TASK = task
-
-
-def _run_indices(indices: Sequence[int]) -> List[Tuple[float, object]]:
-    """Worker entry: run the inherited task on each cluster index,
-    CPU-timed; a failing cluster yields an error marker instead of
-    poisoning the rest of its part."""
-    out: List[Tuple[float, object]] = []
-    for idx in indices:
-        t0 = time.process_time()
+def _fork_child(task: Callable[[int], object], part_no: int,
+                todo: List[int], limit: float,
+                others: Sequence[Connection]) -> _Child:
+    """Fork one worker for ``todo``.  The child inherits ``task`` (and
+    with it the analyzed program), closes every pipe end but its own
+    write end, runs ``task(index)`` per cluster under CPU timing, sends
+    each ``(index, cpu seconds, outcome)`` as it finishes (an exception
+    becomes an error marker, so one failing cluster does not poison the
+    rest of its part) and leaves by ``os._exit``.  Forking from the
+    threaded daemon is safe because nothing a worker runs takes a lock
+    another thread could hold at the fork."""
+    reader, writer = Pipe(duplex=False)
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child
+        status = 1
         try:
-            outcome = _WORKER_TASK(idx)
-        except Exception as exc:
-            outcome = error_marker(exc)
-        out.append((time.process_time() - t0, outcome))
-    return out
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            signal.signal(signal.SIGINT, signal.SIG_DFL)
+            reader.close()
+            for conn in others:
+                conn.close()
+            for idx in todo:
+                t0 = time.process_time()
+                try:
+                    outcome = task(idx)
+                except Exception as exc:
+                    outcome = error_marker(exc)
+                writer.send((idx, time.process_time() - t0, outcome))
+            status = 0
+        finally:
+            os._exit(status)
+    writer.close()
+    return _Child(pid, reader, part_no, list(todo),
+                  time.monotonic() + limit)
+
+
+def _reap(child: _Child, kill: bool = False) -> int:
+    """Close ``child``'s pipe and wait for it (killing it first when
+    ``kill``); returns its exit code (negative: the killing signal)."""
+    child.conn.close()
+    if kill:
+        try:
+            os.kill(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    _, status = os.waitpid(child.pid, 0)
+    return os.waitstatus_to_exitcode(status)
 
 
 class ParallelRunner(Generic[T]):
@@ -283,12 +345,11 @@ class ParallelRunner(Generic[T]):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r} "
                              f"(have: {', '.join(BACKENDS)})")
-        if backend == "processes" \
-                and "fork" not in multiprocessing.get_all_start_methods():
+        if backend == "processes" and not hasattr(os, "fork"):
             raise ValueError(
-                "the processes backend needs the 'fork' start method "
-                "(its workers inherit the analyzed program), which this "
-                "platform lacks; use backend='simulate'")
+                "the processes backend needs os.fork (its workers "
+                "inherit the analyzed program), which this platform "
+                "lacks; use backend='simulate'")
         self.parts = parts
         self.backend = backend
         self.scheduler = scheduler
@@ -328,70 +389,110 @@ class ParallelRunner(Generic[T]):
             wall_time=time.perf_counter() - t0)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _retire_pool(pool: ProcessPoolExecutor, kill: bool) -> None:
-        """Shut a pool down without waiting; ``kill`` additionally
-        terminates its worker processes (a hung worker never finishes on
-        its own, and ``shutdown`` alone would leave it running)."""
-        if kill:
-            procs = getattr(pool, "_processes", None) or {}
-            for proc in list(procs.values()):
-                try:
-                    proc.terminate()
-                except Exception:
-                    pass
-        pool.shutdown(wait=False, cancel_futures=True)
+    def _run_round(self, batch: Sequence[Tuple[int, List[int]]],
+                   task: Callable[[int], object], limit: float,
+                   deliver: Callable[[int, int, float, object], None]
+                   ) -> None:
+        """Run each ``(part number, indices)`` of ``batch`` in a forked
+        child of its own, at most ``jobs`` at once, and hand every
+        ``(part number, index, cpu seconds, outcome)`` to ``deliver`` as
+        it arrives.  A child that dies, or that reports no result for
+        ``limit`` seconds (it is killed), fails the cluster it was
+        running with an error marker, and the rest of its part is
+        forked again.  Every child is reaped before this returns or
+        raises."""
+        queue: Deque[Tuple[int, List[int]]] = deque(batch)
+        live: Dict[int, _Child] = {}
+        selector = selectors.DefaultSelector()
+
+        def lose(child: _Child, kill: bool) -> None:
+            """Reap ``child``; fail the cluster it was running and queue
+            the rest of its part for a new child."""
+            selector.unregister(child.conn)
+            del live[child.pid]
+            code = _reap(child, kill=kill)
+            if not child.todo:
+                return
+            reason: Exception = TimeoutError(
+                f"no result within {limit:.1f}s; worker killed") if kill \
+                else ChildProcessError(
+                    f"worker process died (exit code {code})")
+            deliver(child.part_no, child.todo[0], 0.0, error_marker(reason))
+            if child.todo[1:]:
+                queue.appendleft((child.part_no, child.todo[1:]))
+
+        try:
+            while queue or live:
+                while queue and len(live) < max(1, self.jobs):
+                    part_no, todo = queue.popleft()
+                    child = _fork_child(
+                        task, part_no, todo, limit,
+                        [c.conn for c in live.values()])
+                    live[child.pid] = child
+                    selector.register(child.conn, selectors.EVENT_READ,
+                                      child)
+                wait = min(c.deadline for c in live.values()) \
+                    - time.monotonic()
+                for key, _ in selector.select(max(0.0, wait)):
+                    child = key.data
+                    try:
+                        idx, elapsed, outcome = child.conn.recv()
+                    except (EOFError, OSError):
+                        lose(child, kill=False)
+                        continue
+                    child.todo.remove(idx)
+                    child.deadline = time.monotonic() + limit
+                    deliver(child.part_no, idx, elapsed, outcome)
+                now = time.monotonic()
+                for child in [c for c in live.values()
+                              if c.deadline <= now]:
+                    lose(child, kill=True)
+        finally:
+            for child in live.values():
+                _reap(child, kill=True)
+            selector.close()
 
     def run_payloads(self, clusters: Sequence[Cluster],
                      task: Callable[[int], object],
                      degrade: Callable[[int, str, int], object],
                      policy: Optional[RunPolicy] = None) -> ParallelReport:
-        """Execute the ``processes`` backend: fork one pool whose workers
-        inherit ``task`` (and with it the analyzed program), send each
-        scheduled part's cluster *indices* to a worker, which runs
-        ``task(index)`` per cluster, and collect ``(cpu seconds,
-        outcome)`` pairs.  ``degrade(index, error, attempts)`` runs in
-        this process for clusters that still fail.
+        """Execute the ``processes`` backend: schedule
+        :func:`sibling_units` into parts, fork one child per part (see
+        :meth:`_run_round`) that runs ``task(index)`` per cluster, and
+        collect each cluster's ``(cpu seconds, outcome)``.
+        ``degrade(index, error, attempts)`` runs in this process for
+        clusters that still fail.
 
-        Execution is fault-isolated per cluster under ``policy`` (a
+        Failure is per cluster, under ``policy`` (a
         :class:`~repro.core.resilience.RunPolicy`; a conservative default
-        applies when omitted): every future is awaited with a deadline, a
-        crashed or hung pool is replaced and only the *failed* clusters
-        are re-submitted (bounded retries with backoff, gated by the
-        circuit breaker; deterministic failures such as a blown budget
-        are not retried), and clusters that still fail either degrade
-        (``policy.degrade``) or raise a structured
+        applies when omitted).  A crash or a stall past
+        ``policy.future_timeout(1)`` fails only the cluster in progress,
+        and a corrupted outcome only its own cluster.  Retryable
+        failures are retried together in rounds, one backoff sleep per
+        round, for up to ``policy.retries`` rounds, and a circuit
+        breaker that counts across rounds stops them early;
+        deterministic failures such as a blown budget are not retried.
+        Clusters that still fail degrade (``policy.degrade``) or raise
+        a structured
         :class:`~repro.core.resilience.ClusterExecutionError`.  Nothing
-        blocks forever, and one poison cluster no longer takes the run
-        down with it.
+        blocks forever, and no worker outlives the call.
         """
         pol = policy if policy is not None else DEFAULT_POLICY
         t0 = time.perf_counter()
-        schedule = schedule_indices(clusters, self.parts, self.scheduler)
+        schedule = schedule_indices(clusters, self.parts, self.scheduler,
+                                    siblings=True)
         cluster_times: Dict[int, float] = {}
         results: List[object] = [None] * len(clusters)
         part_times: List[float] = [0.0] * len(schedule)
-        attempts: Dict[int, int] = {}
+        attempts = {idx: 1 for part in schedule for idx in part}
         failed: Dict[int, str] = {}
         final: Set[int] = set()  # failed deterministically: no retry
-        workers = max(1, min(self.jobs, len(schedule)))
+        breaker = CircuitBreaker(pol.max_consecutive_failures)
 
-        def fork_pool() -> ProcessPoolExecutor:
-            # Pinned to ``fork``: only a forked worker inherits ``task``
-            # (under ``spawn`` or ``forkserver``, Python 3.14's Linux
-            # default, nothing is).  Forking from the threaded daemon is
-            # safe because nothing a worker runs takes a lock another
-            # thread could hold at the fork.
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker, initargs=(task,))
-
-        def member_names(idx: int) -> List[str]:
-            return [str(p) for p in clusters[idx].pointer_members]
-
-        def accept(idx: int, elapsed: float, outcome: object) -> bool:
-            """Record a worker response; False means the cluster failed."""
+        def accept(part_no: int, idx: int, elapsed: float,
+                   outcome: object) -> None:
+            """Record one cluster's result; retry rounds (attempts > 1)
+            feed the circuit breaker."""
             if is_error_marker(outcome):
                 marker: Dict[str, Any] = outcome  # type: ignore[assignment]
                 if not marker.get("retryable", True):
@@ -399,97 +500,46 @@ class ParallelRunner(Generic[T]):
                         raise_marker(marker, idx)
                     final.add(idx)
                 failed[idx] = marker["__cluster_error__"]
-                return False
-            if not validate_outcome(outcome, member_names(idx)):
+            elif not validate_outcome(
+                    outcome, [str(p) for p in clusters[idx].pointer_members]):
                 failed[idx] = "invalid outcome (corrupted result)"
-                return False
-            failed.pop(idx, None)
-            cluster_times[idx] = elapsed
-            results[idx] = outcome
-            return True
+            else:
+                failed.pop(idx, None)
+                cluster_times[idx] = elapsed
+                results[idx] = outcome
+                part_times[part_no] += elapsed
+                if attempts[idx] > 1:
+                    breaker.record_success()
+                return
+            if attempts[idx] > 1:
+                breaker.record_failure()
 
-        pool = fork_pool()
-        pool_sick = False
-        try:
-            # Phase 1: one batched future per scheduled part, each
-            # awaited with a deadline so a hang fails the part instead
-            # of the whole run.
-            futures = [pool.submit(_run_indices, part) for part in schedule]
-            for part_no, (part, future) in enumerate(zip(schedule, futures)):
-                for idx in part:
-                    attempts[idx] = 1
-                try:
-                    timed = future.result(
-                        timeout=pol.future_timeout(len(part)))
-                except FutureTimeoutError:
-                    pool_sick = True
-                    for idx in part:
-                        failed.setdefault(
-                            idx, f"part {part_no} timed out after "
-                                 f"{pol.future_timeout(len(part)):.1f}s")
-                    continue
-                except BrokenProcessPool:
-                    pool_sick = True
-                    for idx in part:
-                        failed.setdefault(idx, "worker process crashed "
-                                               "(BrokenProcessPool)")
-                    continue
-                acc = 0.0
-                for idx, (elapsed, outcome) in zip(part, timed):
-                    if accept(idx, elapsed, outcome):
-                        acc += elapsed
-                part_times[part_no] = acc
+        # Rounds: every part first, then each retry round the failed
+        # clusters of every part together, after one backoff sleep.
+        retry = {idx for part in schedule for idx in part}
+        attempt = 1
+        while True:
+            batch = [(k, [i for i in part if i in retry])
+                     for k, part in enumerate(schedule)]
+            self._run_round([(k, part) for k, part in batch if part],
+                            task, pol.future_timeout(1), accept)
+            retry = set(failed) - final
+            if not retry or attempt > pol.retries or breaker.is_open:
+                break
+            attempt += 1
+            time.sleep(pol.delay(attempt))
+            for idx in retry:
+                attempts[idx] = attempt
 
-            # Phase 2: per-cluster retries against a healthy pool.  A
-            # part-level failure (one hang/crash fails the whole batch)
-            # is re-tried cluster-by-cluster, so innocent neighbors of a
-            # poison cluster recover here on their first retry.
-            retry = sorted(set(failed) - final)
-            if retry and pol.retries > 0:
-                if pool_sick:
-                    self._retire_pool(pool, kill=True)
-                    pool = fork_pool()
-                    pool_sick = False
-                breaker = CircuitBreaker(pol.max_consecutive_failures)
-                for idx in retry:
-                    for attempt in range(2, pol.retries + 2):
-                        if breaker.is_open:
-                            break
-                        time.sleep(pol.delay(attempt, key=str(idx)))
-                        attempts[idx] = attempt
-                        try:
-                            single = pool.submit(_run_indices, [idx])
-                            ((elapsed, outcome),) = single.result(
-                                timeout=pol.future_timeout(1))
-                        except (FutureTimeoutError, BrokenProcessPool) as exc:
-                            failed[idx] = f"retry {attempt}: " \
-                                          f"{type(exc).__name__}"
-                            breaker.record_failure()
-                            self._retire_pool(pool, kill=True)
-                            pool = fork_pool()
-                            continue
-                        if accept(idx, elapsed, outcome):
-                            breaker.record_success()
-                            break
-                        breaker.record_failure()
-                        if idx in final:
-                            break  # deterministic failure; stop early
-
-            # Phase 3: whatever still failed degrades in this process —
-            # or, with degradation disabled, surfaces as a structured
-            # error.
-            if failed:
-                if not pol.degrade:
-                    first = sorted(failed)[0]
-                    raise ClusterExecutionError(first, failed[first])
-                for idx in sorted(failed):
-                    t1 = time.perf_counter()
-                    results[idx] = degrade(idx, failed[idx],
-                                           attempts.get(idx, 1))
-                    cluster_times[idx] = time.perf_counter() - t1
-                failed.clear()
-        finally:
-            self._retire_pool(pool, kill=pool_sick)
+        # Whatever still failed degrades in this process — or, with
+        # degradation disabled, surfaces as a structured error.
+        if failed and not pol.degrade:
+            first = min(failed)
+            raise ClusterExecutionError(first, failed[first])
+        for idx in sorted(failed):
+            t1 = time.perf_counter()
+            results[idx] = degrade(idx, failed[idx], attempts[idx])
+            cluster_times[idx] = time.perf_counter() - t1
         return ParallelReport(
             part_times=part_times, cluster_times=cluster_times,
             results=results, backend="processes",

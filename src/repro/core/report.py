@@ -189,7 +189,8 @@ def diagnostics_to_dict(diags: List[Diagnostic]) -> List[Dict[str, Any]]:
             entry["trace"] = [
                 {"note": s.note,
                  "function": s.loc.function,
-                 "line": s.span.line if s.span is not None else None}
+                 "line": s.span.line if s.span is not None else None,
+                 "column": s.span.column if s.span is not None else None}
                 for s in d.trace]
         out.append(entry)
     return out

@@ -12,10 +12,11 @@ cluster is still sound.  This module turns that observation into an
 execution policy:
 
 * :class:`RunPolicy` — per-cluster wall-clock timeout (enforced inside
-  the solve via the analysis deadline *and* at the future), bounded
-  retries with exponential backoff and deterministic jitter, and a
-  max-consecutive-failure circuit breaker that stops retrying when the
-  pool itself is sick;
+  the solve via the analysis deadline *and* by the parent, which kills
+  a worker that reports nothing for too long), bounded retries with
+  exponential backoff and deterministic jitter, and a
+  max-consecutive-failure circuit breaker that stops retrying when
+  failures keep coming;
 * the **degradation ladder** :func:`degrade_ladder` — FSCS → sliced
   FSCI → Andersen over the cluster's slice → Steensgaard partition:
   each rung re-answers the cluster's points-to query with a coarser,
@@ -92,16 +93,17 @@ class RunPolicy:
     ``cluster_timeout`` is the per-cluster wall-clock budget; it becomes
     the analysis deadline of every attempt, on either backend (catching
     livelocks the solver can observe), a fresh deadline for the
-    degradation ladder, *and* bounds ``future.result`` in the parent
-    (catching hard hangs it cannot).  ``retries`` counts re-submissions
+    degradation ladder, *and* bounds the parent's wait for a worker's
+    next result (:meth:`future_timeout`, catching hard hangs the solver
+    cannot observe).  ``retries`` counts re-submissions
     after the first attempt.  Backoff between attempts is exponential
     with deterministic jitter — :meth:`delay` hashes the retry key, so
     two runs retry on identical schedules and tests stay reproducible.
     ``max_consecutive_failures`` trips the circuit breaker: once that
-    many attempts in a row have failed, remaining failed clusters skip
-    straight to degradation instead of hammering a sick pool.
+    many retries in a row have failed, the remaining failed clusters
+    skip straight to degradation instead of another retry round.
     ``hard_timeout`` is the backstop applied when ``cluster_timeout`` is
-    unset, so no future is ever awaited unboundedly.
+    unset, so no worker is ever awaited unboundedly.
     """
 
     cluster_timeout: Optional[float] = None
@@ -126,7 +128,10 @@ class RunPolicy:
         return base * (1.0 + self.jitter * unit)
 
     def future_timeout(self, count: int = 1) -> float:
-        """Bound on awaiting a future that runs ``count`` clusters.
+        """Bound on waiting for ``count`` clusters' results.  The
+        processes backend waits this long (``count=1``) for each next
+        result of a worker, from the previous one or the fork, and then
+        kills the worker: only the cluster it was running fails.
         Doubled per cluster when a timeout is set: a worker that blows
         its deadline may degrade *in the worker*, which costs up to one
         more deadline's worth of (coarser, cheaper) analysis."""
@@ -153,10 +158,11 @@ DEFAULT_POLICY = RunPolicy(cluster_timeout=None, retries=1, degrade=False)
 class CircuitBreaker:
     """Consecutive-failure counter shared across retry attempts.
 
-    Two deployments share this class.  At *pool* level (the PR-5 retry
-    loop) it is a one-way fuse: once ``threshold`` attempts in a row
-    have failed, remaining failures skip straight to degradation, and
-    the breaker never closes again within the run.  At *shard* level
+    Two deployments share this class.  In the processes backend's retry
+    rounds it is a one-way fuse: once ``threshold`` retries in a row
+    have failed, no further round starts, remaining failures skip
+    straight to degradation, and the breaker never closes again within
+    the run.  At *shard* level
     (the fleet coordinator keeps one breaker per worker) the breaker
     must also *heal*: pass ``reset_timeout`` and an open breaker turns
     **half-open** that many seconds after its last recorded failure —
@@ -199,7 +205,7 @@ class CircuitBreaker:
         probe's ``record_success``/``record_failure`` decides whether
         the breaker closes or re-opens.  Always False while closed (no
         probe needed) or when no ``reset_timeout`` was given (the
-        pool-level one-way fuse)."""
+        retry rounds' one-way fuse)."""
         if self.reset_timeout is None:
             return False
         with self._lock:
@@ -251,7 +257,7 @@ def is_degraded(outcome: Any) -> bool:
 def error_marker(exc: BaseException, retryable: bool = True
                  ) -> Dict[str, Any]:
     """A picklable stand-in for an exception, so one failing cluster
-    does not poison its batch's future."""
+    does not poison the rest of its worker's part."""
     marker: Dict[str, Any] = {
         _ERROR_KEY: f"{type(exc).__name__}: {exc}",
         "retryable": retryable,

@@ -1,5 +1,9 @@
 """The benchmark substrate: generator determinism, corpus, harnesses."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis import Steensgaard
@@ -8,14 +12,11 @@ from repro.bench import (
     PAPER_TABLE1,
     SynthConfig,
     build,
-    compute_figure1,
     corpus_configs,
     generate,
     generate_source,
-    measure_program,
-    run_figure1,
-    shape_report,
 )
+from repro.bench.figure1 import compute_figure1, run_figure1
 from repro.bench.metrics import (
     TIMEOUT,
     ascii_histogram,
@@ -25,6 +26,7 @@ from repro.bench.metrics import (
     timed,
     timed_with_budget,
 )
+from repro.bench.table1 import measure_program, shape_report
 from repro.core import CascadeConfig, run_cascade
 from repro.ir import format_program
 
@@ -207,6 +209,25 @@ class TestTaintBench:
             == data["demand"]["clusters_total"]
         text = render(data)
         assert "Taint" in text and str(gt["expected"]) in text
+
+
+class TestHarnessEntryPoints:
+    """``python -m repro.bench.<harness>`` runs the harness as
+    ``__main__``; the package must not have imported it already, or
+    runpy warns that the module is in ``sys.modules``."""
+
+    @pytest.mark.parametrize("harness", [
+        "cascade", "demand", "figure1", "parallel", "profile_solvers",
+        "resilience", "table1", "taint"])
+    def test_help_runs_without_runpy_warning(self, harness):
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             f"repro.bench.{harness}", "--help"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 from hypothesis import HealthCheck, given, settings

@@ -548,7 +548,8 @@ class TestAssignmentSpans:
             main(args + ["--json"])
             (finding,) = json.loads(capsys.readouterr().out)
             (step,) = finding["trace"]
-            assert (step["note"], step["line"]) == ("p set to NULL here", 3)
+            assert (step["note"], step["line"], step["column"]) \
+                == ("p set to NULL here", 3, 10)
         else:
             sarif = tmp_path / "out.sarif"
             main(args + ["--sarif", str(sarif)])

@@ -140,8 +140,18 @@ class TestCorpusDifferential:
                    if c.name == name)
         program = generate(cfg).program
         sim = _outcomes(program, "simulate")
-        prc = _outcomes(program, "processes", jobs=2, scheduler="lpt")
+        boot = _fresh(program)
+        prc = boot.analyze_all(backend="processes", jobs=2, scheduler="lpt")
         assert _points_to(sim) == _points_to(prc)
+        # Siblings that share one FSCI pass run in one worker.
+        part_of = {i: k for k, part in enumerate(prc.schedule)
+                   for i in part}
+        parts_of_group = {}
+        for i, cluster in enumerate(boot.clusters):
+            if cluster.fsci_key is not None:
+                parts_of_group.setdefault(cluster.fsci_key,
+                                          set()).add(part_of[i])
+        assert all(len(parts) == 1 for parts in parts_of_group.values())
         # Every stat must agree too: the workers run the same summary
         # construction on the same (inherited) program.
         assert [r["stats"] for r in sim.results] == \

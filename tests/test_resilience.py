@@ -395,9 +395,6 @@ class TestProcessesFaultMatrix:
             policy=RunPolicy(cluster_timeout=30.0, retries=1,
                              degrade=True),
             faults=[FaultSpec(kind=kind, match="#0")])
-        assert 0 in report.degraded
-        # A crash can take part-mates down with it (BrokenProcessPool),
-        # but they must all recover at full precision on retry.
         assert list(report.degraded) == [0]
         _assert_superset(clean[0], report.results[0])
         for i, outcome in enumerate(report.results):
@@ -432,6 +429,98 @@ class TestProcessesFaultMatrix:
             result.analyze_all(
                 backend="processes", jobs=2,
                 faults=[FaultSpec(kind="crash", match="#0")])
+
+    def test_crash_costs_only_its_cluster(self):
+        """The crashed worker's cluster takes a second attempt; every
+        other cluster, its part-mates included, finishes on its
+        first."""
+        cfg = next(c for c in corpus_configs(scale=SCALE)
+                   if c.name == "sendmail")
+        program = generate(cfg).program
+        clean = _fresh(program).analyze_all(backend="simulate").results
+        report = _fresh(program).analyze_all(
+            backend="processes", jobs=2,
+            policy=RunPolicy(cluster_timeout=30.0, retries=1,
+                             degrade=True),
+            faults=[FaultSpec(kind="crash", match="#0")])
+        assert len(report.results) > 100
+        assert list(report.degraded) == [0]
+        assert report.attempts[0] == 2
+        assert {i: n for i, n in report.attempts.items() if i != 0} \
+            == {i: 1 for i in range(1, len(report.results))}
+        for i in range(1, len(report.results)):
+            assert report.results[i] == clean[i]
+
+    def test_retries_sleep_one_backoff_per_round(self, tmp_path,
+                                                 monkeypatch):
+        """Every cluster fails once: the one retry round sleeps one
+        backoff for all of them, not one per cluster."""
+        from repro.core import parallel
+        sleeps = []
+        real_sleep = parallel.time.sleep
+
+        def counting_sleep(seconds):
+            sleeps.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(parallel.time, "sleep", counting_sleep)
+        result = _fresh(figure5_program())
+        assert len(result.clusters) >= 3
+        clean = self._clean(result)
+        policy = RunPolicy(retries=1, degrade=True)
+        report = result.analyze_all(
+            backend="processes", jobs=2, policy=policy,
+            faults=[FaultSpec(kind="flaky-once", match="*",
+                              token_dir=str(tmp_path))])
+        assert report.degraded == {}
+        assert max(report.attempts.values()) == 2
+        assert [r["points_to"] for r in report.results] == \
+            [r["points_to"] for r in clean]
+        assert sleeps == [policy.delay(2)]
+
+    @pytest.mark.parametrize("scenario",
+                             ["clean", "crash", "hang-kill", "error"])
+    def test_no_worker_outlives_analyze_all(self, scenario, monkeypatch):
+        """Every forked worker is reaped before ``analyze_all`` returns
+        or raises: waiting for it afterwards finds no such child."""
+        pids = []
+        real_fork = os.fork
+
+        def recording_fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        result = _fresh(figure5_program())
+        kw = {
+            "clean": {},
+            "crash": dict(policy=RunPolicy(cluster_timeout=30.0, retries=1,
+                                           degrade=True),
+                          faults=[FaultSpec(kind="crash", match="#0")]),
+            "hang-kill": dict(policy=RunPolicy(cluster_timeout=0.5,
+                                               retries=0, grace=1.0,
+                                               degrade=True),
+                              faults=[FaultSpec(kind="hang", match="#0",
+                                                duration=15.0)]),
+            "error": dict(faults=[FaultSpec(kind="crash", match="#0")]),
+        }[scenario]
+        t0 = time.monotonic()
+        if scenario == "error":
+            with pytest.raises(ClusterExecutionError):
+                result.analyze_all(backend="processes", jobs=2, **kw)
+        else:
+            report = result.analyze_all(backend="processes", jobs=2, **kw)
+            assert sorted(report.degraded) == \
+                ([] if scenario == "clean" else [0])
+        if scenario == "hang-kill":
+            assert "worker killed" in report.results[0]["error"]
+            assert time.monotonic() - t0 < 10.0
+        assert pids
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
     def test_three_fault_kinds_at_once(self):
         """The acceptance scenario: crash + hang + corrupt in one run."""
