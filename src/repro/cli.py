@@ -680,8 +680,9 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
                    help="wall-clock deadline per cluster analysis; "
                         "overruns are retried, then degraded or failed")
     p.add_argument("--retries", type=int, default=1, metavar="N",
-                   help="attempts per failed cluster beyond the first "
-                        "(default: 1)")
+                   help="retry rounds after the first attempt, on either "
+                        "backend: each round re-runs every failed "
+                        "cluster after one backoff sleep (default: 1)")
     p.add_argument("--degrade", action="store_true",
                    help="turn cluster failures into sound coarser "
                         "results (FSCI -> Andersen -> Steensgaard), "

@@ -18,12 +18,10 @@ analysis.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from ..analysis.fscs import ClusterFSCS, Context
-from ..errors import AnalysisBudgetExceeded
 from ..ir import CallGraph, Loc, MemObject, Program, Var
 from .cascade import CascadeConfig, CascadeResult, run_cascade
 from .clusters import Cluster
@@ -31,12 +29,10 @@ from .faults import FaultSpec, attach_faults, corrupt_outcome, fire_faults
 from .parallel import ParallelReport, ParallelRunner
 from .resilience import (
     DEFAULT_POLICY,
-    ClusterExecutionError,
     RunPolicy,
     coarsest,
     degrade_ladder,
     is_degraded,
-    validate_outcome,
 )
 from .shipping import cluster_fingerprints, cluster_outcome
 from .summary_cache import SummaryCache
@@ -191,10 +187,11 @@ class BootstrapResult:
         order, and every other per-cluster field of the report is keyed
         by input index too.
 
-        ``policy`` (a :class:`~repro.core.resilience.RunPolicy`) adds
-        fault tolerance: per-cluster timeouts, bounded retries and —
-        when ``policy.degrade`` — sound degradation down the cascade for
-        clusters that still fail (their outcomes gain
+        Both backends run one loop, :meth:`ParallelRunner.run`, under
+        ``policy`` (a :class:`~repro.core.resilience.RunPolicy`,
+        ``DEFAULT_POLICY`` when omitted): per-cluster timeouts, retry
+        rounds and — when ``policy.degrade`` — sound degradation down
+        the cascade for clusters that still fail (their outcomes gain
         ``status``/``precision`` tags and are *not* written to the
         cache).  ``faults`` injects deterministic failures
         (:class:`~repro.core.faults.FaultSpec`) for testing the
@@ -205,8 +202,8 @@ class BootstrapResult:
         parts = self.config.parts
         if backend == "processes" and jobs is not None:
             parts = jobs  # one worker per part
-        runner: ParallelRunner[Dict] = ParallelRunner(
-            parts=parts, backend=backend, scheduler=scheduler, jobs=jobs)
+        runner = ParallelRunner(parts=parts, backend=backend,
+                                scheduler=scheduler, jobs=jobs)
 
         # Fingerprints are only made when something consumes them: the
         # cache, or fault injection (selectors match on fingerprints).
@@ -226,59 +223,36 @@ class BootstrapResult:
                     cached[i] = outcome
         pending = [i for i in range(len(targets)) if i not in cached]
 
+        pol = policy or DEFAULT_POLICY
+        in_process = backend == "simulate"
         if pending:
-            sub = [targets[i] for i in pending]
-            pol = policy or DEFAULT_POLICY
-            if backend == "processes":
-                report = runner.run_payloads(
-                    sub,
-                    lambda j: self._attempt(sub[j], pol,
-                                            stamps.get(pending[j])),
-                    lambda j, error, attempts: self._degrade(
-                        sub[j], pol, error, attempts),
-                    policy=pol)
-            elif policy is not None or faults:
-                attempts_map: Dict[int, int] = {}
-                report = runner.run(sub, self._resilient_task(
-                    targets, stamps, pol, attempts_map))
-                # attempts_map is keyed by full-target index; a report
-                # keys by position in the batch that actually ran (the
-                # merge below maps those back through ``pending``).
-                sub_pos = {i: j for j, i in enumerate(pending)}
-                report.attempts = {sub_pos[i]: n
-                                   for i, n in attempts_map.items()}
-            else:
-                report = runner.run(sub, lambda c: self._solve(c, None))
+            report = runner.run(
+                targets,
+                lambda i: self._attempt(targets[i], pol, stamps.get(i),
+                                        in_process=in_process),
+                lambda i, error, attempts: self._degrade(
+                    targets[i], pol, error, attempts),
+                pol, pending)
         else:
             report = ParallelReport(part_times=[], cluster_times={},
-                                    results=[], backend=backend,
-                                    scheduler=scheduler)
+                                    results=[None] * len(targets),
+                                    backend=backend, scheduler=scheduler)
 
-        # Merge cached outcomes (cost 0.0 — no work was done) with the
-        # freshly computed ones, restoring input-order indexing.
-        results: List[object] = [None] * len(targets)
-        cluster_times: Dict[int, float] = {}
-        schedule = [[pending[j] for j in part] for part in report.schedule]
-        attempts = {pending[j]: n for j, n in report.attempts.items()}
-        for j, i in enumerate(pending):
-            results[i] = report.results[j]
-            cluster_times[i] = report.cluster_times.get(j, 0.0)
-            # Degraded outcomes are coarser than what a healthy run
-            # would compute: never cache them, so the next run retries
-            # at full precision.
-            if cache_obj is not None and not is_degraded(report.results[j]):
-                cache_obj.put(fingerprints[i], report.results[j])
+        # Degraded outcomes are coarser than what a healthy run would
+        # compute: never cache them, so the next run retries at full
+        # precision.  Cached outcomes cost 0.0 — no work was done.
+        if cache_obj is not None:
+            for i in pending:
+                if not is_degraded(report.results[i]):
+                    cache_obj.put(fingerprints[i], report.results[i])
         for i, outcome in cached.items():
-            results[i] = outcome
-            cluster_times[i] = 0.0
-        self._note_degraded(targets, results)
-        return ParallelReport(
-            part_times=report.part_times, cluster_times=cluster_times,
-            results=results, backend=backend, scheduler=scheduler,
-            schedule=schedule, wall_time=report.wall_time,
-            cache_hits=len(cached),
-            cache_misses=len(pending) if cache_obj is not None else 0,
-            fingerprints=fingerprints, attempts=attempts)
+            report.results[i] = outcome
+            report.cluster_times[i] = 0.0
+        self._note_degraded(targets, report.results)
+        report.cache_hits = len(cached)
+        report.cache_misses = len(pending) if cache_obj is not None else 0
+        report.fingerprints = fingerprints
+        return report
 
     # ------------------------------------------------------------------
     # resilience plumbing
@@ -317,46 +291,6 @@ class BootstrapResult:
             self.program, cluster, steens=self.cascade.steensgaard,
             callgraph=self.callgraph, error=error, attempts=attempts,
             deadline=policy.deadline())
-
-    def _resilient_task(self, targets: Sequence[Cluster],
-                        stamps: Dict[int, Dict[str, Any]],
-                        policy: RunPolicy,
-                        attempts_map: Dict[int, int]):
-        """The simulate backend's retry loop around :meth:`_attempt`:
-        retry with backoff, validate, and degrade on persistent failure.
-        ``stamps`` and ``attempts_map`` are keyed by index in
-        ``targets``."""
-        index_of = {}
-        for i, c in enumerate(targets):
-            index_of.setdefault(id(c), i)
-
-        def task(c: Cluster) -> Dict[str, Any]:
-            i = index_of[id(c)]
-            names = [str(p) for p in c.pointer_members]
-            error = "unknown failure"
-            for attempt in range(1, policy.retries + 2):
-                attempts_map[i] = attempt
-                if attempt > 1:
-                    time.sleep(policy.delay(attempt, key=str(i)))
-                try:
-                    outcome = self._attempt(c, policy, stamps.get(i),
-                                            in_process=True)
-                except AnalysisBudgetExceeded as exc:
-                    if not policy.degrade:
-                        raise
-                    error = str(exc)
-                    break  # deterministic; retrying cannot help
-                except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    continue
-                if validate_outcome(outcome, names):
-                    return outcome
-                error = "invalid outcome (corrupted result)"
-            if not policy.degrade:
-                raise ClusterExecutionError(i, error)
-            return self._degrade(c, policy, error, attempts_map[i])
-
-        return task
 
     def _note_degraded(self, targets: Sequence[Cluster],
                        results: Sequence[object]) -> None:

@@ -5,13 +5,21 @@ Clusters are analyzable independently, so the paper simulates running on
 size, then sweep the clusters greedily, closing a part whenever the
 accumulated pointer count exceeds the target; report the *maximum* part
 time as the parallel wall-clock.  :func:`greedy_parts` reproduces that
-heuristic verbatim.
+heuristic verbatim.  A second scheduler, :func:`lpt_parts`, assigns
+clusters longest-processing-time-first by a per-cluster cost estimate
+(slice-statement count x cluster size), falling back to the paper's
+greedy sweep whenever the sweep happens to balance better, so its
+maximum part cost is never worse than the paper's heuristic.
 
-This module additionally provides a real execution backend behind one
-:class:`ParallelRunner` API:
+This module also runs the clusters, through one loop,
+:meth:`ParallelRunner.run`: schedule the clusters into parts, run every
+part once, retry the clusters that failed together in rounds (one
+backoff sleep per round, a circuit breaker across rounds), validate
+every outcome, and degrade or raise for what still fails.  The backend
+picks only where a round's parts execute:
 
-* ``simulate`` — the paper's setup: run sequentially, account time per
-  scheduled part;
+* ``simulate`` — the paper's setup: each part in this process, one
+  after the other, timed by the wall clock and accounted per part;
 * ``processes`` — one child per scheduled part, forked after the
   cascade: the child inherits the analyzed program, its clusters, the
   per-cluster task and its part's cluster indices, and streams one
@@ -21,14 +29,12 @@ This module additionally provides a real execution backend behind one
   units* (the clusters that share one FSCI pass,
   :attr:`~repro.core.clusters.Cluster.fsci_key`), so each shared FSCI
   runs once, in one worker, as it does in process.  A child that dies
-  or stalls costs only the cluster it was running: the rest of its part
-  is forked again, and failed clusters are retried together in rounds.
+  or stalls costs only the cluster it was running, and the rest of its
+  part is forked again.
 
-and a second scheduler: :func:`lpt_parts` assigns clusters
-longest-processing-time-first by a per-cluster cost estimate
-(slice-statement count x cluster size), falling back to the paper's
-greedy sweep whenever the sweep happens to balance better, so its
-maximum part cost is never worse than the paper's heuristic.
+Both run each part through one helper that turns a cluster's exception
+into an error marker, so one policy means the same attempts, sleeps and
+degraded clusters on either backend.
 """
 
 from __future__ import annotations
@@ -46,13 +52,11 @@ from typing import (
     Callable,
     Deque,
     Dict,
-    Generic,
     List,
     Optional,
     Sequence,
     Set,
     Tuple,
-    TypeVar,
 )
 
 from .clusters import Cluster
@@ -66,8 +70,6 @@ from .resilience import (
     raise_marker,
     validate_outcome,
 )
-
-T = TypeVar("T")
 
 #: The execution backends ``ParallelRunner`` (and the CLI) accept.
 BACKENDS = ("simulate", "processes")
@@ -210,9 +212,9 @@ def schedule_indices(clusters: Sequence[Cluster], parts: int,
 class ParallelReport:
     """Timing and results of one (possibly parallel) cluster run.
 
-    ``results`` and ``cluster_times`` are keyed by the cluster's *index
-    in the input sequence* — a stable key that survives duplicate
-    clusters and pickling, unlike object identity.
+    ``results`` and every per-cluster field are keyed by the cluster's
+    *index in the input sequence* — a stable key that survives
+    duplicate clusters and pickling, unlike object identity.
     """
 
     part_times: List[float]
@@ -228,8 +230,8 @@ class ParallelReport:
     #: made them (a summary cache, or faults to select by) — the
     #: invalidation hook the query daemon diffs across reloads.
     fingerprints: Optional[List[str]] = None
-    #: Analysis attempts per cluster index; only clusters the resilience
-    #: layer touched more than once (or failed) appear with values > 1.
+    #: Attempts per solved cluster index: 1, or the retry round in
+    #: which the cluster last ran.
     attempts: Dict[int, int] = field(default_factory=dict)
 
     @property
@@ -241,30 +243,48 @@ class ParallelReport:
     def total_time(self) -> float:
         return sum(self.part_times)
 
-    # -- resilience accounting (derived from outcome tags, so cached /
-    # -- merged results need no extra bookkeeping) ----------------------
     @property
     def degraded(self) -> Dict[int, str]:
         """Cluster index -> achieved precision level, for every cluster
-        the degradation ladder handled (empty on clean runs)."""
+        the degradation ladder handled (empty on clean runs).  Derived
+        from outcome tags, so cached results need no bookkeeping."""
         out: Dict[int, str] = {}
         for i, outcome in enumerate(self.results):
             if isinstance(outcome, dict) and outcome.get("status") == "degraded":
                 out[i] = str(outcome.get("precision", "steensgaard"))
         return out
 
-    def cluster_status(self, index: int) -> str:
-        """``"ok"`` or ``"degraded"`` for one cluster."""
-        return "degraded" if index in self.degraded else "ok"
 
-    def cluster_precision(self, index: int) -> str:
-        """The precision level of one cluster's outcome (``"fscs"``
-        unless it was degraded)."""
-        return self.degraded.get(index, "fscs")
+#: One round's delivery callback: ``(part number, index, seconds,
+#: outcome)``.
+Deliver = Callable[[int, int, float, object], None]
 
-    @property
-    def statuses(self) -> List[str]:
-        return [self.cluster_status(i) for i in range(len(self.results))]
+
+def _run_part(task: Callable[[int], object], todo: Sequence[int],
+              clock: Callable[[], float],
+              send: Callable[[Tuple[int, float, object]], None]) -> None:
+    """Run ``task(index)`` for each of ``todo`` and ``send`` each
+    ``(index, seconds by clock, outcome)`` as it finishes.  An exception
+    becomes an error marker, so one failing cluster does not poison the
+    rest of its part."""
+    for idx in todo:
+        t0 = clock()
+        try:
+            outcome = task(idx)
+        except Exception as exc:
+            outcome = error_marker(exc)
+        send((idx, clock() - t0, outcome))
+
+
+def _run_local(batch: Sequence[Tuple[int, List[int]]],
+               task: Callable[[int], object], limit: float,
+               deliver: Deliver) -> None:
+    """A ``simulate`` round: each part in this process, one after the
+    other, timed by the wall clock (``limit`` is the processes
+    backend's; a solve here is bounded by its own deadline)."""
+    for part_no, todo in batch:
+        _run_part(task, todo, time.perf_counter,
+                  lambda msg: deliver(part_no, *msg))
 
 
 @dataclass
@@ -285,12 +305,11 @@ def _fork_child(task: Callable[[int], object], part_no: int,
                 others: Sequence[Connection]) -> _Child:
     """Fork one worker for ``todo``.  The child inherits ``task`` (and
     with it the analyzed program), closes every pipe end but its own
-    write end, runs ``task(index)`` per cluster under CPU timing, sends
-    each ``(index, cpu seconds, outcome)`` as it finishes (an exception
-    becomes an error marker, so one failing cluster does not poison the
-    rest of its part) and leaves by ``os._exit``.  Forking from the
-    threaded daemon is safe because nothing a worker runs takes a lock
-    another thread could hold at the fork."""
+    write end, runs its part under CPU timing (:func:`_run_part`),
+    sending each result over the pipe as it finishes, and leaves by
+    ``os._exit``.  Forking from the threaded daemon is safe because
+    nothing a worker runs takes a lock another thread could hold at the
+    fork."""
     reader, writer = Pipe(duplex=False)
     pid = os.fork()
     if pid == 0:  # pragma: no cover - runs in the child
@@ -301,13 +320,7 @@ def _fork_child(task: Callable[[int], object], part_no: int,
             reader.close()
             for conn in others:
                 conn.close()
-            for idx in todo:
-                t0 = time.process_time()
-                try:
-                    outcome = task(idx)
-                except Exception as exc:
-                    outcome = error_marker(exc)
-                writer.send((idx, time.process_time() - t0, outcome))
+            _run_part(task, todo, time.process_time, writer.send)
             status = 0
         finally:
             os._exit(status)
@@ -329,14 +342,15 @@ def _reap(child: _Child, kill: bool = False) -> int:
     return os.waitstatus_to_exitcode(status)
 
 
-class ParallelRunner(Generic[T]):
-    """Run one task per cluster, aggregating times per scheduled part.
+class ParallelRunner:
+    """Run one task per cluster index in scheduled parts, with retry
+    rounds, validation and degradation (:meth:`run`).
 
-    ``backend`` selects execution: ``"simulate"`` (the paper's setup —
-    sequential, time *accounted* per part) or ``"processes"`` (real
-    multiprocess execution on forked workers, see
-    :meth:`run_payloads`).  ``jobs`` caps worker count (defaults to
-    ``parts``).
+    ``backend`` selects only where a part executes: ``"simulate"`` (the
+    paper's setup — in this process, one part after the other, time
+    *accounted* per part) or ``"processes"`` (one forked worker per
+    part, see :meth:`_run_round`).  ``jobs`` caps the live workers
+    (defaults to ``parts``).
     """
 
     def __init__(self, parts: int = 5, backend: str = "simulate",
@@ -356,51 +370,17 @@ class ParallelRunner(Generic[T]):
         self.jobs = jobs if jobs is not None else parts
 
     # ------------------------------------------------------------------
-    def run(self, clusters: Sequence[Cluster],
-            task: Callable[[Cluster], T]) -> ParallelReport:
-        """Execute ``task`` per cluster under the ``simulate`` backend
-        (use :meth:`run_payloads` for ``processes``)."""
-        if self.backend == "processes":
-            raise ValueError(
-                "the processes backend runs a task per cluster index in "
-                "forked workers; use ParallelRunner.run_payloads or "
-                "BootstrapResult.analyze_all(backend='processes')")
-        t0 = time.perf_counter()
-        schedule = schedule_indices(clusters, self.parts, self.scheduler)
-        cluster_times: Dict[int, float] = {}
-        results: List[object] = [None] * len(clusters)
-
-        def run_part(part: List[int]) -> float:
-            acc = 0.0
-            for idx in part:
-                t1 = time.perf_counter()
-                value = task(clusters[idx])
-                elapsed = time.perf_counter() - t1
-                cluster_times[idx] = elapsed
-                results[idx] = value
-                acc += elapsed
-            return acc
-
-        part_times = [run_part(part) for part in schedule]
-        return ParallelReport(
-            part_times=part_times, cluster_times=cluster_times,
-            results=results, backend=self.backend,
-            scheduler=self.scheduler, schedule=schedule,
-            wall_time=time.perf_counter() - t0)
-
-    # ------------------------------------------------------------------
     def _run_round(self, batch: Sequence[Tuple[int, List[int]]],
                    task: Callable[[int], object], limit: float,
-                   deliver: Callable[[int, int, float, object], None]
-                   ) -> None:
-        """Run each ``(part number, indices)`` of ``batch`` in a forked
-        child of its own, at most ``jobs`` at once, and hand every
-        ``(part number, index, cpu seconds, outcome)`` to ``deliver`` as
-        it arrives.  A child that dies, or that reports no result for
-        ``limit`` seconds (it is killed), fails the cluster it was
-        running with an error marker, and the rest of its part is
-        forked again.  Every child is reaped before this returns or
-        raises."""
+                   deliver: Deliver) -> None:
+        """A ``processes`` round: run each ``(part number, indices)`` of
+        ``batch`` in a forked child of its own, at most ``jobs`` at
+        once, and hand every ``(part number, index, cpu seconds,
+        outcome)`` to ``deliver`` as it arrives.  A child that dies, or
+        that reports no result for ``limit`` seconds (it is killed),
+        fails the cluster it was running with an error marker, and the
+        rest of its part is forked again.  Every child is reaped before
+        this returns or raises."""
         queue: Deque[Tuple[int, List[int]]] = deque(batch)
         live: Dict[int, _Child] = {}
         selector = selectors.DefaultSelector()
@@ -452,42 +432,50 @@ class ParallelRunner(Generic[T]):
                 _reap(child, kill=True)
             selector.close()
 
-    def run_payloads(self, clusters: Sequence[Cluster],
-                     task: Callable[[int], object],
-                     degrade: Callable[[int, str, int], object],
-                     policy: Optional[RunPolicy] = None) -> ParallelReport:
-        """Execute the ``processes`` backend: schedule
-        :func:`sibling_units` into parts, fork one child per part (see
-        :meth:`_run_round`) that runs ``task(index)`` per cluster, and
-        collect each cluster's ``(cpu seconds, outcome)``.
-        ``degrade(index, error, attempts)`` runs in this process for
-        clusters that still fail.
+    def run(self, clusters: Sequence[Cluster],
+            task: Callable[[int], object],
+            degrade: Callable[[int, str, int], object],
+            policy: RunPolicy = DEFAULT_POLICY,
+            pending: Optional[Sequence[int]] = None) -> ParallelReport:
+        """Run ``task(index)`` for the clusters at the ``pending``
+        indices (default: all) and collect each one's ``(seconds,
+        outcome)``.  ``degrade(index, error, attempts)`` runs in this
+        process for clusters that still fail.  Every index the report,
+        an error or a callback names is an index into ``clusters``.
 
+        The loop is the same on both backends: schedule the clusters
+        into parts (the processes backend places :func:`sibling_units`
+        whole, so each shared FSCI runs in one worker), then run rounds.
         Failure is per cluster, under ``policy`` (a
-        :class:`~repro.core.resilience.RunPolicy`; a conservative default
-        applies when omitted).  A crash or a stall past
-        ``policy.future_timeout(1)`` fails only the cluster in progress,
-        and a corrupted outcome only its own cluster.  Retryable
-        failures are retried together in rounds, one backoff sleep per
-        round, for up to ``policy.retries`` rounds, and a circuit
-        breaker that counts across rounds stops them early;
-        deterministic failures such as a blown budget are not retried.
-        Clusters that still fail degrade (``policy.degrade``) or raise
-        a structured
-        :class:`~repro.core.resilience.ClusterExecutionError`.  Nothing
-        blocks forever, and no worker outlives the call.
+        :class:`~repro.core.resilience.RunPolicy`): an exception, a
+        crashed worker, a worker silent past
+        ``policy.future_timeout(1)`` or an outcome that fails
+        validation fails only its own cluster.  Retryable failures are
+        retried together in rounds, one backoff sleep per round, for up
+        to ``policy.retries`` rounds, and a circuit breaker that counts
+        across rounds stops them early; deterministic failures such as
+        a blown budget are not retried.  Clusters that still fail
+        degrade (``policy.degrade``) or raise a structured
+        :class:`~repro.core.resilience.ClusterExecutionError` (a blown
+        budget re-raises its
+        :class:`~repro.errors.AnalysisBudgetExceeded`).  Nothing blocks
+        forever, and no worker outlives the call.
         """
-        pol = policy if policy is not None else DEFAULT_POLICY
         t0 = time.perf_counter()
-        schedule = schedule_indices(clusters, self.parts, self.scheduler,
-                                    siblings=True)
+        todo = list(range(len(clusters))) if pending is None \
+            else list(pending)
+        schedule = [[todo[j] for j in part] for part in schedule_indices(
+            [clusters[i] for i in todo], self.parts, self.scheduler,
+            siblings=self.backend == "processes")]
+        run_round = self._run_round if self.backend == "processes" \
+            else _run_local
         cluster_times: Dict[int, float] = {}
         results: List[object] = [None] * len(clusters)
         part_times: List[float] = [0.0] * len(schedule)
-        attempts = {idx: 1 for part in schedule for idx in part}
+        attempts = {idx: 1 for idx in todo}
         failed: Dict[int, str] = {}
         final: Set[int] = set()  # failed deterministically: no retry
-        breaker = CircuitBreaker(pol.max_consecutive_failures)
+        breaker = CircuitBreaker(policy.max_consecutive_failures)
 
         def accept(part_no: int, idx: int, elapsed: float,
                    outcome: object) -> None:
@@ -496,7 +484,7 @@ class ParallelRunner(Generic[T]):
             if is_error_marker(outcome):
                 marker: Dict[str, Any] = outcome  # type: ignore[assignment]
                 if not marker.get("retryable", True):
-                    if not pol.degrade:
+                    if not policy.degrade:
                         raise_marker(marker, idx)
                     final.add(idx)
                 failed[idx] = marker["__cluster_error__"]
@@ -516,24 +504,24 @@ class ParallelRunner(Generic[T]):
 
         # Rounds: every part first, then each retry round the failed
         # clusters of every part together, after one backoff sleep.
-        retry = {idx for part in schedule for idx in part}
+        retry = set(todo)
         attempt = 1
         while True:
             batch = [(k, [i for i in part if i in retry])
                      for k, part in enumerate(schedule)]
-            self._run_round([(k, part) for k, part in batch if part],
-                            task, pol.future_timeout(1), accept)
+            run_round([(k, part) for k, part in batch if part],
+                      task, policy.future_timeout(1), accept)
             retry = set(failed) - final
-            if not retry or attempt > pol.retries or breaker.is_open:
+            if not retry or attempt > policy.retries or breaker.is_open:
                 break
             attempt += 1
-            time.sleep(pol.delay(attempt))
+            time.sleep(policy.delay(attempt))
             for idx in retry:
                 attempts[idx] = attempt
 
         # Whatever still failed degrades in this process — or, with
         # degradation disabled, surfaces as a structured error.
-        if failed and not pol.degrade:
+        if failed and not policy.degrade:
             first = min(failed)
             raise ClusterExecutionError(first, failed[first])
         for idx in sorted(failed):
@@ -542,7 +530,10 @@ class ParallelRunner(Generic[T]):
             cluster_times[idx] = time.perf_counter() - t1
         return ParallelReport(
             part_times=part_times, cluster_times=cluster_times,
-            results=results, backend="processes",
+            results=results, backend=self.backend,
             scheduler=self.scheduler, schedule=schedule,
             wall_time=time.perf_counter() - t0,
             attempts=attempts)
+
+    #: The name perfbench's layer table wraps besides ``run``.
+    run_payloads = run

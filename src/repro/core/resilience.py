@@ -13,10 +13,11 @@ execution policy:
 
 * :class:`RunPolicy` — per-cluster wall-clock timeout (enforced inside
   the solve via the analysis deadline *and* by the parent, which kills
-  a worker that reports nothing for too long), bounded retries with
-  exponential backoff and deterministic jitter, and a
+  a worker that reports nothing for too long), bounded retry rounds
+  with one exponential backoff sleep per round, and a
   max-consecutive-failure circuit breaker that stops retrying when
-  failures keep coming;
+  failures keep coming — one policy, run by one loop
+  (:meth:`repro.core.parallel.ParallelRunner.run`) on both backends;
 * the **degradation ladder** :func:`degrade_ladder` — FSCS → sliced
   FSCI → Andersen over the cluster's slice → Steensgaard partition:
   each rung re-answers the cluster's points-to query with a coarser,
@@ -25,9 +26,10 @@ execution policy:
   (reports, diagnostics, the daemon) can say "this fact is real but
   coarse";
 * error *markers* (:func:`error_marker`): the picklable stand-in a
-  forked worker (:mod:`repro.core.parallel`) returns for a cluster whose
-  attempt raised, so one failure does not poison its whole part; the
-  parent re-raises (:func:`raise_marker`), retries or degrades.
+  part (:mod:`repro.core.parallel`, in this process or in a forked
+  worker) returns for a cluster whose attempt raised, so one failure
+  does not poison its whole part; the loop re-raises
+  (:func:`raise_marker`), retries or degrades.
 
 Degraded outcomes keep the exact shape of clean ones
 (``{"stats", "points_to"}``) plus ``status``/``precision``/``error``/
@@ -39,7 +41,6 @@ must recompute at full precision).
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from dataclasses import dataclass
@@ -95,13 +96,14 @@ class RunPolicy:
     livelocks the solver can observe), a fresh deadline for the
     degradation ladder, *and* bounds the parent's wait for a worker's
     next result (:meth:`future_timeout`, catching hard hangs the solver
-    cannot observe).  ``retries`` counts re-submissions
-    after the first attempt.  Backoff between attempts is exponential
-    with deterministic jitter — :meth:`delay` hashes the retry key, so
-    two runs retry on identical schedules and tests stay reproducible.
-    ``max_consecutive_failures`` trips the circuit breaker: once that
-    many retries in a row have failed, the remaining failed clusters
-    skip straight to degradation instead of another retry round.
+    cannot observe).  ``retries`` counts retry rounds after the first
+    attempt; the failed clusters of every part are retried together,
+    after one backoff sleep per round (:meth:`delay`, exponential and
+    capped).  ``max_consecutive_failures`` trips the circuit breaker:
+    once that many retries in a row have failed, the remaining failed
+    clusters skip straight to degradation instead of another retry
+    round.  Both backends read the policy the same way, so it gives the
+    same attempts, sleeps and degraded clusters on either.
     ``hard_timeout`` is the backstop applied when ``cluster_timeout`` is
     unset, so no worker is ever awaited unboundedly.
     """
@@ -110,22 +112,17 @@ class RunPolicy:
     retries: int = 1
     backoff: float = 0.05
     backoff_factor: float = 2.0
-    jitter: float = 0.25
     max_backoff: float = 2.0
     max_consecutive_failures: int = 8
     degrade: bool = True
     grace: float = 5.0
     hard_timeout: float = 3600.0
 
-    def delay(self, attempt: int, key: str = "") -> float:
-        """Seconds to sleep before retry ``attempt`` (2 = first retry).
-        Jitter is derived from ``key`` so it is deterministic per
-        cluster but decorrelated across clusters."""
-        base = min(self.max_backoff,
+    def delay(self, attempt: int) -> float:
+        """Seconds to sleep before retry round ``attempt`` (2 = first
+        retry)."""
+        return min(self.max_backoff,
                    self.backoff * self.backoff_factor ** max(0, attempt - 2))
-        digest = hashlib.sha256(f"{key}:{attempt}".encode()).digest()
-        unit = digest[0] / 255.0
-        return base * (1.0 + self.jitter * unit)
 
     def future_timeout(self, count: int = 1) -> float:
         """Bound on waiting for ``count`` clusters' results.  The
@@ -148,21 +145,23 @@ class RunPolicy:
         return time.monotonic() + self.cluster_timeout
 
 
-#: The policy applied when none is given: no per-cluster timeout (just
-#: the hard backstop), one retry for transient worker failures, *no*
-#: degradation — clean runs behave exactly as before, but a crash or
-#: hang now surfaces as a structured error instead of blocking forever.
+#: The policy applied when none is given, on either backend: no
+#: per-cluster timeout (just the hard backstop), one retry round for
+#: transient failures, *no* degradation — a crash, hang or solver
+#: exception surfaces as a structured error instead of blocking
+#: forever, and a blown budget as :class:`AnalysisBudgetExceeded`.
 DEFAULT_POLICY = RunPolicy(cluster_timeout=None, retries=1, degrade=False)
 
 
 class CircuitBreaker:
     """Consecutive-failure counter shared across retry attempts.
 
-    Two deployments share this class.  In the processes backend's retry
-    rounds it is a one-way fuse: once ``threshold`` retries in a row
-    have failed, no further round starts, remaining failures skip
-    straight to degradation, and the breaker never closes again within
-    the run.  At *shard* level
+    Two deployments share this class.  In the retry rounds of
+    :meth:`~repro.core.parallel.ParallelRunner.run` (either backend) it
+    is a one-way fuse: once ``threshold`` retries in a row have failed,
+    no further round starts, remaining failures skip straight to
+    degradation, and the breaker never closes again within the run.  At
+    *shard* level
     (the fleet coordinator keeps one breaker per worker) the breaker
     must also *heal*: pass ``reset_timeout`` and an open breaker turns
     **half-open** that many seconds after its last recorded failure —
@@ -234,9 +233,9 @@ class CircuitBreaker:
 # ----------------------------------------------------------------------
 
 def validate_outcome(outcome: Any, pointer_names: Iterable[str]) -> bool:
-    """Is ``outcome`` a structurally sound cluster outcome?  Checked in
-    the parent on everything a worker returns, so a corrupted result is
-    indistinguishable from a crash: retried, then degraded."""
+    """Is ``outcome`` a structurally sound cluster outcome?  Checked on
+    every outcome a part returns, on either backend, so a corrupted
+    result is indistinguishable from a crash: retried, then degraded."""
     if not isinstance(outcome, dict):
         return False
     pts = outcome.get("points_to")

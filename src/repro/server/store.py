@@ -92,10 +92,11 @@ class ServerConfig:
     #: resyncs at the next newline.
     max_request_bytes: int = MAX_REQUEST_BYTES
     #: Resilience knobs (``repro serve --cluster-timeout/--retries/
-    #: --degrade``).  All off by default: an un-tuned daemon fails loads
-    #: exactly as before (e.g. a budget overrun stays a structured
-    #: ``BUDGET_EXCEEDED`` error), while a tuned one serves partial
-    #: results with degraded-precision warnings instead.
+    #: --degrade``).  The defaults are ``DEFAULT_POLICY``: an un-tuned
+    #: daemon fails a load whose cluster still fails after one retry
+    #: round (a budget overrun stays a structured ``BUDGET_EXCEEDED``
+    #: error), while a tuned one serves partial results with
+    #: degraded-precision warnings instead.
     cluster_timeout: Optional[float] = None
     retries: int = 1
     degrade: bool = False
@@ -113,13 +114,9 @@ class ServerConfig:
             fscs_budget=self.fscs_budget,
             max_cond_atoms=self.max_cond_atoms)
 
-    def run_policy(self) -> Optional[RunPolicy]:
-        """The :class:`RunPolicy` for bulk analysis, or ``None`` when no
-        resilience knob is set — ``None`` keeps the legacy failure mode
-        (request-wide structured errors) byte-for-byte."""
-        if self.cluster_timeout is None and self.retries == 1 \
-                and not self.degrade:
-            return None
+    def run_policy(self) -> RunPolicy:
+        """The :class:`RunPolicy` for bulk analysis (``DEFAULT_POLICY``'s
+        equal when no resilience knob is set)."""
         return RunPolicy(cluster_timeout=self.cluster_timeout,
                          retries=self.retries, degrade=self.degrade)
 
@@ -603,11 +600,7 @@ class FileStore:
             # this load (a floor keeps the timeout meaningful — a
             # deadline that tight is shed by the caller's post-check).
             budget = max(deadline - time.time(), 0.01)
-            if policy is None:
-                policy = RunPolicy(cluster_timeout=budget,
-                                   retries=1, degrade=False)
-                clamped = True
-            elif policy.cluster_timeout is None \
+            if policy.cluster_timeout is None \
                     or policy.cluster_timeout > budget:
                 policy = dataclasses.replace(policy,
                                              cluster_timeout=budget)

@@ -111,7 +111,7 @@ class TestAnalyzeAll:
         assert report.part_times == [
             sum(report.cluster_times[i] for i in part)
             for part in report.schedule]
-        assert report.attempts == {}
+        assert report.attempts == {i: 1 for i in range(len(targets))}
         assert report.fingerprints is None
         assert report.cache_hits == report.cache_misses == 0
         assert (report.backend, report.scheduler) == ("simulate", "lpt")

@@ -16,7 +16,11 @@ from repro.core import (
     lpt_parts,
     schedule_indices,
 )
-from repro.core.parallel import greedy_index_parts, lpt_index_parts
+from repro.core.parallel import (
+    BACKENDS,
+    greedy_index_parts,
+    lpt_index_parts,
+)
 from repro.ir import Var
 
 from .helpers import figure5_program
@@ -142,52 +146,75 @@ class TestLptProperties:
         assert lpt <= greedy
 
 
+def outcome_of(cluster, tag):
+    """A valid cluster outcome that carries ``tag`` in its stats."""
+    return {"stats": {"tag": tag},
+            "points_to": {str(p): [] for p in cluster.pointer_members}}
+
+
+def never_degrade(index, error, attempts):
+    raise AssertionError(f"cluster {index} degraded: {error}")
+
+
 class TestParallelRunner:
+    """``ParallelRunner.run`` takes index tasks, and both backends keep
+    the same slots."""
+
     def test_simulated_run(self):
         clusters = make_clusters([2, 3, 4])
-        runner = ParallelRunner(parts=2)
-        report = runner.run(clusters, lambda c: c.size)
-        assert sorted(report.results) == [2, 3, 4]
-        assert len(report.cluster_times) == 3
-        assert report.max_part_time <= report.total_time + 1e-9
+        for backend in BACKENDS:
+            runner = ParallelRunner(parts=2, backend=backend)
+            report = runner.run(
+                clusters, lambda i: outcome_of(clusters[i], clusters[i].size),
+                never_degrade)
+            assert [r["stats"]["tag"] for r in report.results] == [2, 3, 4]
+            assert sorted(report.cluster_times) == [0, 1, 2]
+            assert report.attempts == {0: 1, 1: 1, 2: 1}
+            assert report.max_part_time <= report.total_time + 1e-9
+            assert report.backend == backend
 
     def test_results_order_matches_clusters(self):
         clusters = make_clusters([1, 2, 3])
-        runner = ParallelRunner(parts=3)
-        report = runner.run(clusters, lambda c: c.size)
-        assert report.results == [1, 2, 3]
+        for backend in BACKENDS:
+            runner = ParallelRunner(parts=3, backend=backend)
+            report = runner.run(clusters,
+                                lambda i: outcome_of(clusters[i], i),
+                                never_degrade)
+            assert [r["stats"]["tag"] for r in report.results] == [0, 1, 2]
 
     def test_duplicate_clusters_keep_distinct_slots(self):
         """Regression: results/cluster_times were once keyed by
         ``id(cluster)``, so the same cluster listed twice collapsed to a
         single slot.  Index keying must run the task once per listing."""
         (c,) = make_clusters([3])
-        calls = []
+        for backend in BACKENDS:
+            calls = []
 
-        def task(cluster):
-            calls.append(cluster)
-            return len(calls)
+            def task(i):
+                calls.append(i)
+                return outcome_of(c, i)
 
-        runner = ParallelRunner(parts=2)
-        report = runner.run([c, c], task)
-        assert report.results == [1, 2]
-        assert calls == [c, c]
-        assert sorted(report.cluster_times) == [0, 1]
-        assert sorted(i for p in report.schedule for i in p) == [0, 1]
+            runner = ParallelRunner(parts=2, backend=backend)
+            report = runner.run([c, c], task, never_degrade)
+            assert [r["stats"]["tag"] for r in report.results] == [0, 1]
+            assert sorted(report.cluster_times) == [0, 1]
+            assert sorted(i for p in report.schedule for i in p) == [0, 1]
+            # Forked workers call the task in their own memory.
+            assert calls == ([0, 1] if backend == "simulate" else [])
 
     def test_lpt_runner_restores_input_order(self):
         """LPT visits clusters largest-first, but results still line up
         with the input sequence."""
         clusters = make_clusters([1, 5, 2, 4, 3])
-        runner = ParallelRunner(parts=2, scheduler="lpt")
-        report = runner.run(clusters, lambda c: c.size)
-        assert report.results == [1, 5, 2, 4, 3]
-        assert report.scheduler == "lpt"
-
-    def test_run_rejects_processes_backend(self):
-        runner = ParallelRunner(parts=2, backend="processes")
-        with pytest.raises(ValueError):
-            runner.run(make_clusters([1]), lambda c: c.size)
+        for backend in BACKENDS:
+            runner = ParallelRunner(parts=2, backend=backend,
+                                    scheduler="lpt")
+            report = runner.run(
+                clusters, lambda i: outcome_of(clusters[i], clusters[i].size),
+                never_degrade)
+            assert [r["stats"]["tag"] for r in report.results] \
+                == [1, 5, 2, 4, 3]
+            assert report.scheduler == "lpt"
 
     def test_unknown_backend(self):
         for backend in ("mpi", "threads"):

@@ -35,6 +35,7 @@ from repro.core import (
     validate_outcome,
 )
 from repro.core.faults import corrupt_outcome
+from repro.core.parallel import BACKENDS
 from repro.core.resilience import (
     DEFAULT_POLICY,
     error_marker,
@@ -67,23 +68,26 @@ def _assert_superset(clean_outcome, degraded_outcome_):
         assert set(objs) <= set(degr_pts[name]), name
 
 
+def _count_sleeps(monkeypatch):
+    """Record (and still take) every ``time.sleep`` of the run."""
+    sleeps = []
+    real_sleep = time.sleep
+
+    def counting_sleep(seconds):
+        sleeps.append(seconds)
+        real_sleep(seconds)
+
+    monkeypatch.setattr(time, "sleep", counting_sleep)
+    return sleeps
+
+
 # ----------------------------------------------------------------------
 # policy mechanics
 # ----------------------------------------------------------------------
 
 class TestRunPolicy:
-    def test_delay_is_deterministic(self):
-        pol = RunPolicy()
-        assert pol.delay(2, key="7") == pol.delay(2, key="7")
-
-    def test_delay_jitter_decorrelates_clusters(self):
-        pol = RunPolicy()
-        delays = {pol.delay(2, key=str(i)) for i in range(16)}
-        assert len(delays) > 1
-
     def test_delay_grows_and_caps(self):
-        pol = RunPolicy(backoff=0.1, backoff_factor=2.0, jitter=0.0,
-                        max_backoff=0.5)
+        pol = RunPolicy(backoff=0.1, backoff_factor=2.0, max_backoff=0.5)
         assert pol.delay(2) == pytest.approx(0.1)
         assert pol.delay(3) == pytest.approx(0.2)
         assert pol.delay(10) == pytest.approx(0.5)  # capped
@@ -231,9 +235,6 @@ class TestInProcessResilience:
             backend="simulate", policy=RunPolicy(retries=1, degrade=True),
             faults=[FaultSpec(kind="crash", match="#1")])
         assert report.degraded == {1: "fsci"}
-        assert report.statuses.count("degraded") == 1
-        assert report.cluster_status(1) == "degraded"
-        assert report.cluster_precision(1) == "fsci"
         assert result.degraded_clusters == {1: "fsci"}
         assert result.degraded_precision_of([result.clusters[1]]) == "fsci"
         assert result.degraded_precision_of([result.clusters[0]]) is None
@@ -319,6 +320,44 @@ class TestInProcessResilience:
             backend="simulate", policy=RunPolicy(degrade=True))
         assert len(report.degraded) == len(result.clusters)
         assert all(is_degraded(r) for r in report.results)
+
+
+# ----------------------------------------------------------------------
+# a partly warm cache: every reported index is a target index
+# ----------------------------------------------------------------------
+
+class TestTargetIndices:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_failure_names_the_target_index(self, backend, tmp_path):
+        """With the cache holding all but the last two clusters, a crash
+        in the last one names it by its index in the analyzed list (not
+        by its place among the clusters left to solve), and so do the
+        attempts, the schedule and the degraded map."""
+        cache = SummaryCache(str(tmp_path))
+        first = _fresh(figure5_program()).analyze_all(backend="simulate",
+                                                      cache=cache)
+        n = len(first.results)
+        assert n >= 3
+        evicted = {first.fingerprints[n - 2], first.fingerprints[n - 1]}
+        for fp in evicted:
+            os.remove(cache._path(fp))
+        pending = [i for i, fp in enumerate(first.fingerprints)
+                   if fp in evicted]
+        crash = [FaultSpec(kind="crash", match=f"#{n - 1}")]
+        with pytest.raises(ClusterExecutionError,
+                           match=f"^cluster {n - 1} failed") as exc:
+            _fresh(figure5_program()).analyze_all(
+                backend=backend, jobs=2, cache=cache, faults=crash)
+        assert exc.value.index == n - 1
+        report = _fresh(figure5_program()).analyze_all(
+            backend=backend, jobs=2, cache=cache, faults=crash,
+            policy=RunPolicy(retries=1, degrade=True))
+        assert report.cache_hits == n - len(pending)
+        assert list(report.degraded) == [n - 1]
+        assert report.attempts == {i: 2 if i == n - 1 else 1
+                                   for i in pending}
+        assert sorted(i for part in report.schedule for i in part) \
+            == pending
 
 
 # ----------------------------------------------------------------------
@@ -431,52 +470,73 @@ class TestProcessesFaultMatrix:
                 faults=[FaultSpec(kind="crash", match="#0")])
 
     def test_crash_costs_only_its_cluster(self):
-        """The crashed worker's cluster takes a second attempt; every
-        other cluster, its part-mates included, finishes on its
-        first."""
+        """The crashed cluster takes a second attempt; every other
+        cluster, its part-mates included, finishes on its first — on
+        either backend."""
         cfg = next(c for c in corpus_configs(scale=SCALE)
                    if c.name == "sendmail")
         program = generate(cfg).program
         clean = _fresh(program).analyze_all(backend="simulate").results
-        report = _fresh(program).analyze_all(
-            backend="processes", jobs=2,
-            policy=RunPolicy(cluster_timeout=30.0, retries=1,
-                             degrade=True),
-            faults=[FaultSpec(kind="crash", match="#0")])
-        assert len(report.results) > 100
-        assert list(report.degraded) == [0]
-        assert report.attempts[0] == 2
-        assert {i: n for i, n in report.attempts.items() if i != 0} \
-            == {i: 1 for i in range(1, len(report.results))}
-        for i in range(1, len(report.results)):
-            assert report.results[i] == clean[i]
+        for backend in BACKENDS:
+            report = _fresh(program).analyze_all(
+                backend=backend, jobs=2,
+                policy=RunPolicy(cluster_timeout=30.0, retries=1,
+                                 degrade=True),
+                faults=[FaultSpec(kind="crash", match="#0")])
+            assert len(report.results) > 100
+            assert list(report.degraded) == [0], backend
+            assert report.attempts[0] == 2
+            assert {i: n for i, n in report.attempts.items() if i != 0} \
+                == {i: 1 for i in range(1, len(report.results))}
+            for i in range(1, len(report.results)):
+                assert report.results[i] == clean[i]
 
     def test_retries_sleep_one_backoff_per_round(self, tmp_path,
                                                  monkeypatch):
         """Every cluster fails once: the one retry round sleeps one
-        backoff for all of them, not one per cluster."""
-        from repro.core import parallel
-        sleeps = []
-        real_sleep = parallel.time.sleep
-
-        def counting_sleep(seconds):
-            sleeps.append(seconds)
-            real_sleep(seconds)
-
-        monkeypatch.setattr(parallel.time, "sleep", counting_sleep)
-        result = _fresh(figure5_program())
-        assert len(result.clusters) >= 3
-        clean = self._clean(result)
+        backoff for all of them, not one per cluster — on either
+        backend."""
+        sleeps = _count_sleeps(monkeypatch)
         policy = RunPolicy(retries=1, degrade=True)
+        clean = _fresh(figure5_program()).analyze_all(
+            backend="simulate").results
+        for backend in BACKENDS:
+            result = _fresh(figure5_program())
+            assert len(result.clusters) >= 3
+            token_dir = tmp_path / backend
+            token_dir.mkdir()
+            sleeps.clear()
+            report = result.analyze_all(
+                backend=backend, jobs=2, policy=policy,
+                faults=[FaultSpec(kind="flaky-once", match="*",
+                                  token_dir=str(token_dir))])
+            assert report.degraded == {}
+            assert max(report.attempts.values()) == 2
+            assert [r["points_to"] for r in report.results] == \
+                [r["points_to"] for r in clean]
+            assert sleeps == [policy.delay(2)], backend
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_breaker_ends_the_rounds(self, backend, monkeypatch):
+        """Every cluster crashes on every attempt, with three retries
+        allowed and a breaker of two: the first retry round trips the
+        breaker, so each cluster runs twice and the run sleeps once."""
+        sleeps = _count_sleeps(monkeypatch)
+        policy = RunPolicy(retries=3, max_consecutive_failures=2,
+                           degrade=True)
+        result = _fresh(figure5_program())
+        clean = self._clean(result)
         report = result.analyze_all(
-            backend="processes", jobs=2, policy=policy,
-            faults=[FaultSpec(kind="flaky-once", match="*",
-                              token_dir=str(tmp_path))])
-        assert report.degraded == {}
-        assert max(report.attempts.values()) == 2
-        assert [r["points_to"] for r in report.results] == \
-            [r["points_to"] for r in clean]
+            backend=backend, jobs=2, policy=policy,
+            faults=[FaultSpec(kind="crash", match="*")])
+        n = len(report.results)
+        assert n >= 3
+        assert report.attempts == {i: 2 for i in range(n)}
         assert sleeps == [policy.delay(2)]
+        assert sorted(report.degraded) == list(range(n))
+        for i in range(n):
+            assert report.results[i]["attempts"] == 2
+            _assert_superset(clean[i], report.results[i])
 
     @pytest.mark.parametrize("scenario",
                              ["clean", "crash", "hang-kill", "error"])
@@ -542,7 +602,7 @@ class TestProcessesFaultMatrix:
         for i in (0, 1, 2):
             _assert_superset(clean[i], report.results[i])
         for i in range(3, len(report.results)):
-            assert report.cluster_status(i) == "ok"
+            assert i not in report.degraded
             assert report.results[i]["points_to"] == clean[i]["points_to"]
 
 
