@@ -294,10 +294,7 @@ class FSCI(PointerAnalysis):
         self._deadline = deadline
         # Strong updates are only safe for single-instance cells: globals
         # and locals of non-recursive functions, never allocation sites.
-        cg = callgraph or CallGraph(program)
-        scc_of = cg.scc_of()
-        self._recursive = {f for f in program.functions
-                           if len(scc_of[f]) > 1 or f in cg.callees(f)}
+        self._recursive = (callgraph or CallGraph(program)).recursive
 
     # ------------------------------------------------------------------
     def _is_tracked(self, obj: MemObject) -> bool:

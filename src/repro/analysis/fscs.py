@@ -128,12 +128,13 @@ class ClusterFSCS:
         construction — and return basic statistics."""
         tuples = 0
         functions = 0
+        terms = [ObjTerm(p) for p in sorted(self.cluster, key=str)]
         for func in sorted(self.program.functions):
             if self.engine.is_transparent(func):
                 continue
             functions += 1
-            for p in sorted(self.cluster, key=str):
-                tuples += len(self.engine.exit_summary(func, ObjTerm(p)))
+            for term in terms:
+                tuples += self.engine.summary_size(func, term)
         return {
             "summarized_functions": functions,
             "summary_entries": tuples,

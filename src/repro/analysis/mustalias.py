@@ -165,10 +165,7 @@ class MustAlias(PointerAnalysis):
         super().__init__(program)
         self._functions = set(functions) if functions is not None else None
         self._max_iterations = max_iterations
-        cg = CallGraph(program)
-        scc_of = cg.scc_of()
-        self._recursive = {f for f in program.functions
-                           if len(scc_of[f]) > 1 or f in cg.callees(f)}
+        self._recursive = CallGraph(program).recursive
 
     def _single_instance(self, obj: MustVal) -> bool:
         if not isinstance(obj, Var):

@@ -780,6 +780,10 @@ class ReferenceSummaryEngine:
         self._fixpoint(key)
         return self._summaries[key]
 
+    def summary_size(self, func: str, term: Term) -> int:
+        """``len(exit_summary(func, term))``."""
+        return len(self.exit_summary(func, term))
+
     def function_summary(self, func: str,
                          pointers: Iterable[Var]) -> List[SummaryTuple]:
         """Paper-style summary tuples for ``func``'s exit location, for

@@ -21,9 +21,20 @@ These are exactly the paper's summary tuples ``(p, exit_f, q, cond)``;
 :meth:`SummaryEngine.backward_from` provides the same for arbitrary
 interior locations, which is what alias queries use.
 
-Recursion is handled by a demand-driven monotone fixpoint over
-``(function, term)`` keys with dependency tracking — the effect of the
-paper's reverse-topological SCC processing, computed on demand.
+Summaries are solved by tabulation over ``(function, term)`` keys — the
+effect of the paper's reverse-topological SCC processing, computed on
+demand.  Each open key has one resumable backward walk, which keeps its
+worklist, its processed ``(node, term, condition)`` items and its
+entries in the order found; each item is processed once.  A call item
+registers with its callee's key and takes the entries found so far;
+every later entry reaches it exactly once, when the callee's walk
+drains.  A call that opens a new key runs the callee's walk first, on
+an explicit stack, so nothing recurses per call level.  When no walk
+has work left every opened key is final; a raise (budget or deadline)
+drops every open walk instead, so no partial summary survives it.
+:meth:`SummaryEngine.backward_from` runs the same driver with a query
+walk.  Recursion needs no special case: a key inside a recursive SCC
+waits on keys that are still open, and receives their later entries.
 Constraint growth is capped (see :mod:`.constraints`); capping only
 weakens conditions, which over-approximates — the sound direction.
 
@@ -38,14 +49,26 @@ bit masks; terms and constraints become objects only at the public API:
   :func:`~.constraints.conjoin` / :func:`~.constraints.merge`, which
   keep the cap rule;
 * each walked function gets one node-kind table (skip, assume, call or
-  pointer transfer), and each pointer-transfer node an Algorithm-4
-  *recipe* per term: the continuation terms with the atoms to conjoin,
-  built on first use, which is the only time FSCI is consulted;
-* worklists hold int triples, dependencies are insertion-ordered dicts
-  and FSCI-resolved objects are emitted sorted, so ``steps`` repeats
-  under every ``PYTHONHASHSEED``.
+  pointer transfer; a call whose callees are all transparent is a
+  skip), and each pointer-transfer node an Algorithm-4 *recipe* per
+  term: the continuation terms with the atoms to conjoin, built on
+  first use, which is the only time FSCI is consulted;
+* a walk moves an item to its node's *jump targets*, not its
+  predecessors: a non-terminal term jumps over runs of skip nodes, and
+  a terminal term over every node but assumes, since nothing else can
+  change it.  The entry and predecessor-less nodes stay as stops, and a
+  key's walk starts at the jump targets of its function's exit.  The
+  lists depend only on the CFG and the node kinds, so every engine over
+  one program shares them (the program keeps them with its other
+  caches); each is filled on first use, and a fill is idempotent, so
+  concurrent engines may race on it;
+* worklists hold int triples, entries and waiters are lists in the
+  order found and FSCI-resolved objects are emitted sorted, so
+  ``steps`` repeats under every ``PYTHONHASHSEED``.
 
-Summaries stay in id form and are decoded on each call.
+A step is one ``(node, term, condition)`` item of one walk, processed
+once; the budget counts steps.  Summaries stay in id form and are
+decoded on each call.
 :class:`~.reference.ReferenceSummaryEngine`, the same algorithm over
 frozensets, is the oracle ``tests/test_summary_kernel.py`` compares it
 against.
@@ -55,10 +78,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..errors import AnalysisBudgetExceeded
 from ..ir import (
+    CFG,
     AddrOf,
     Assume,
     CallGraph,
@@ -177,12 +212,77 @@ _Step = Tuple[Term, Tuple[Atom, ...]]
 #: The recipe of a transfer node that leaves a term unchanged.
 _IDENTITY: Any = object()
 
-#: Summary entries in id form: (term id, constraint id) pairs.
-_Entries = FrozenSet[Tuple[int, int]]
-_NO_ENTRIES: _Entries = frozenset()
+#: Summary entries in id form: (term id, constraint id) pairs, in the
+#: order found.
+_Entries = Sequence[Tuple[int, int]]
 
-#: A fixpoint key: (function, term id).
+#: A summary key: (function, term id).
 _Key = Tuple[str, int]
+
+#: ``bytes.translate`` tables from node kinds to jump masks (1 marks a
+#: node jumped over): skips for non-terminal terms, every node but
+#: assumes for terminal ones.
+_KINDS = bytes((_SKIP, _ASSUME, _CALL, _TRANSFER))
+_SKIP_MASK = bytes.maketrans(_KINDS, b"\1\0\0\0")
+_TERMINAL_MASK = bytes.maketrans(_KINDS, b"\1\0\1\1")
+
+#: Jump lists: per node, its jump targets, ``None`` until first used.
+_JumpLists = List[Optional[Tuple[int, ...]]]
+
+
+class _Shared:
+    """What every engine over one function shares: the call nodes (with
+    their statements), the assume nodes (with their atoms) and the
+    pointer-transfer nodes, found once, and the jump lists of each jump
+    mask, filled lazily.  Concurrent engines may race to build one or
+    to fill a jump list; both are idempotent."""
+
+    __slots__ = ("calls", "assumes", "transfers", "jumps")
+
+    def __init__(self, cfg: CFG) -> None:
+        self.calls: List[Tuple[int, CallStmt]] = []
+        self.assumes: List[Tuple[int, Atom]] = []
+        self.transfers: Set[int] = set()
+        self.jumps: Dict[bytes, _JumpLists] = {}
+        for idx, stmt in cfg.statements():
+            if isinstance(stmt, CallStmt):
+                self.calls.append((idx, stmt))
+            elif isinstance(stmt, Assume):
+                loc = Loc(cfg.function, idx)
+                self.assumes.append((idx, null_atom(
+                    loc, stmt.lhs, stmt.equal) if stmt.rhs is None
+                    else same_object_atom(loc, stmt.lhs, stmt.rhs,
+                                          stmt.equal)))
+            elif isinstance(stmt, _TRANSFERS):
+                self.transfers.add(idx)
+
+    def jump_lists(self, mask: bytes) -> _JumpLists:
+        lists = self.jumps.get(mask)
+        if lists is None:
+            lists = self.jumps.setdefault(mask, [None] * len(mask))
+        return lists
+
+
+def _fill(lists: _JumpLists, mask: bytes, preds: List[List[int]],
+          entry: int, node: int) -> Tuple[int, ...]:
+    """The jump targets of ``node``: its predecessors, where each node
+    ``mask`` marks is replaced by its own predecessors, except the entry
+    and predecessor-less nodes, which stay as stops.  Deterministic, so
+    two engines filling the same list store equal tuples."""
+    targets: List[int] = []
+    seen: Set[int] = set()
+    frontier = list(preds[node])
+    while frontier:
+        p = frontier.pop()
+        if p in seen:
+            continue
+        seen.add(p)
+        if mask[p] and p != entry and preds[p]:
+            frontier.extend(preds[p])
+        else:
+            targets.append(p)
+    out = lists[node] = tuple(targets)
+    return out
 
 
 class _FunctionTable:
@@ -194,17 +294,53 @@ class _FunctionTable:
     or, for a pointer transfer, the dict from term id to recipe.  A
     recipe is a tuple of ``(term id, atom ids)`` continuations, or
     :data:`_IDENTITY`.  ``preds`` is the CFG's own predecessor lists,
-    not a copy: the daemon keeps every cluster's engine alive."""
+    not a copy: the daemon keeps every cluster's engine alive.
+    ``jumps``/``skips`` are the shared jump lists and mask of
+    non-terminal terms, ``tjumps``/``tskips`` those of terminal ones."""
 
-    __slots__ = ("kinds", "ops", "preds", "entry", "exit")
+    __slots__ = ("kinds", "ops", "preds", "entry", "exit",
+                 "jumps", "skips", "tjumps", "tskips")
 
-    def __init__(self, kinds: List[int], ops: List[Any],
-                 preds: List[List[int]], entry: int, exit: int) -> None:
+    def __init__(self, cfg: CFG, shared: _Shared, kinds: List[int],
+                 ops: List[Any]) -> None:
+        assert cfg.exit is not None
         self.kinds = kinds
         self.ops = ops
-        self.preds = preds
-        self.entry = entry
-        self.exit = exit
+        self.preds = cfg._preds
+        self.entry = cfg.entry
+        self.exit = cfg.exit
+        raw = bytes(kinds)
+        self.skips = raw.translate(_SKIP_MASK)
+        self.tskips = raw.translate(_TERMINAL_MASK)
+        self.jumps = shared.jump_lists(self.skips)
+        self.tjumps = shared.jump_lists(self.tskips)
+
+
+class _Walk:
+    """One resumable backward walk: an open key's, from its function's
+    exit, or a :meth:`SummaryEngine.backward_from` query's (``starts``,
+    distinct items).
+
+    ``work`` holds the items still to process and ``processed`` every
+    item ever queued.  ``results`` are the entries found, in order, and
+    ``found`` their set.  ``waiters`` are the call items that take this
+    key's entries, each ``[caller walk, call node, condition id,
+    entries delivered]``.  ``queued`` is true while the walk is on the
+    driver's stack."""
+
+    __slots__ = ("func", "table", "work", "processed", "results", "found",
+                 "waiters", "queued")
+
+    def __init__(self, func: str, table: _FunctionTable,
+                 starts: Iterable[Tuple[int, int, int]]) -> None:
+        self.func = func
+        self.table = table
+        self.work: List[Tuple[int, int, int]] = list(starts)
+        self.processed: Set[Tuple[int, int, int]] = set(self.work)
+        self.results: List[Tuple[int, int]] = []
+        self.found: Set[Tuple[int, int]] = set()
+        self.waiters: List[List[Any]] = []
+        self.queued = False
 
 
 class SummaryEngine:
@@ -269,9 +405,13 @@ class SummaryEngine:
         self._conjoin_memo: List[Dict[int, int]] = []
         self._merge_memo: Dict[Tuple[int, int], int] = {}
         self._tables: Dict[str, _FunctionTable] = {}
+        # Per function, what every engine over this program shares; the
+        # program drops it with its other caches (invalidate_caches).
+        self._shared: Dict[str, _Shared] = program.__dict__.setdefault(
+            "_summary_shared", {})
+        # Final summaries, and the walks of the keys still open.
         self._summaries: Dict[_Key, _Entries] = {}
-        self._deps: Dict[_Key, Dict[_Key, None]] = {}
-        self._done: Set[_Key] = set()
+        self._walks: Dict[_Key, _Walk] = {}
 
     # ------------------------------------------------------------------
     # transparency: functions that cannot touch the cluster at all
@@ -298,9 +438,11 @@ class SummaryEngine:
     # ------------------------------------------------------------------
     def exit_summary(self, func: str, term: Term) -> FrozenSet[SummaryEntry]:
         """Value of ``term`` at ``func``'s exit, at-entry or terminal."""
-        if term.is_terminal or self.is_transparent(func):
-            return frozenset({(term, TRUE)})
         return self._decode(self._exit(func, self._term_id(term)))
+
+    def summary_size(self, func: str, term: Term) -> int:
+        """``len(exit_summary(func, term))``, counted in id form."""
+        return len(self._exit(func, self._term_id(term)))
 
     def function_summary(self, func: str,
                          pointers: Iterable[Var]) -> List[SummaryTuple]:
@@ -332,8 +474,10 @@ class SummaryEngine:
         else:
             nodes = cfg.predecessors(loc.index)
         tid, cid = self._term_id(term), self._cond_id(cond)
-        return self._decode(self._walk(
-            loc.function, [(node, tid, cid) for node in nodes]))
+        walk = _Walk(loc.function, self._table(loc.function),
+                     [(node, tid, cid) for node in nodes])
+        self._solve(walk)
+        return self._decode(walk.results)
 
     def _decode(self, entries: Iterable[Tuple[int, int]]
                 ) -> FrozenSet[SummaryEntry]:
@@ -398,66 +542,82 @@ class SummaryEngine:
         return out
 
     # ------------------------------------------------------------------
-    # fixpoint driver
+    # tabulation driver
     # ------------------------------------------------------------------
     def _exit(self, func: str, tid: int) -> _Entries:
         """The exit summary of ``(func, term id)`` in id form."""
         if self._terminal[tid] or func in self._transparent:
-            return frozenset({(tid, 0)})
+            return ((tid, 0),)
         key = (func, tid)
-        if key not in self._done:
-            self._fixpoint(key)
-        return self._summaries[key]
+        entries = self._summaries.get(key)
+        if entries is None:
+            self._solve(key)
+            entries = self._summaries[key]
+        return entries
 
-    def _fixpoint(self, root: _Key) -> None:
-        summaries, deps, done = self._summaries, self._deps, self._done
-        worklist: List[_Key] = [root]
-        queued = {root}
-        while worklist:
-            key = worklist.pop()
-            queued.discard(key)
-            old = summaries.setdefault(key, _NO_ENTRIES)
-            done.add(key)
-            func, tid = key
-            requested: Dict[_Key, None] = {}
-            new = self._walk(func, [(self._table(func).exit, tid, 0)],
-                             requested)
-            for req in requested:
-                deps.setdefault(req, {})[key] = None
-                if req not in done and req not in queued:
-                    worklist.append(req)
-                    queued.add(req)
-            if new != old:
-                summaries[key] = old.union(new)
-                for dep in deps.get(key, ()):
-                    if dep not in queued:
-                        worklist.append(dep)
-                        queued.add(dep)
+    def _open(self, key: _Key) -> _Walk:
+        """Open ``key``'s walk at the jump targets of its function's
+        exit, a skip node."""
+        func, tid = key
+        table = self._table(func)
+        walk = self._walks[key] = _Walk(func, table, ())
+        self._advance(walk, table.exit, ((tid, 0),))
+        return walk
+
+    def _solve(self, root: Union[_Key, _Walk]) -> None:
+        """Run ``root`` (a key to open, or a query walk) and every walk it
+        opens until none has work left, then make every opened key
+        final.
+
+        The stack holds the walks with work to do, a callee above its
+        caller; a walk that drains delivers its new entries to its
+        waiters and queues them again."""
+        stack: List[_Walk] = []
+        try:
+            walk = root if isinstance(root, _Walk) else self._open(root)
+            walk.queued = True
+            stack.append(walk)
+            while stack:
+                walk = stack[-1]
+                self._drain(walk, stack)
+                if stack[-1] is not walk:
+                    continue  # a call opened callees: they run first
+                stack.pop()
+                walk.queued = False
+                results = walk.results
+                found = len(results)
+                for waiter in walk.waiters:
+                    seen = waiter[3]
+                    if seen == found:
+                        continue
+                    waiter[3] = found
+                    caller = waiter[0]
+                    self._advance(caller, waiter[1], self._merged(
+                        waiter[2], results[seen:found]))
+                    if not caller.queued:
+                        caller.queued = True
+                        stack.append(caller)
+        except BaseException:
+            # An open walk's entries are partial: keep none of them.
+            self._walks.clear()
+            raise
+        for key, walk in self._walks.items():
+            self._summaries[key] = walk.results
+        self._walks.clear()
 
     # ------------------------------------------------------------------
     # the backward walk (Algorithm 5's worklist, intraprocedural steps)
     # ------------------------------------------------------------------
-    def _walk(self, func: str, starts: List[Tuple[int, int, int]],
-              requested: Optional[Dict[_Key, None]] = None
-              ) -> Set[Tuple[int, int]]:
-        table = self._table(func)
-        kinds, ops, preds_of, entry = \
-            table.kinds, table.ops, table.preds, table.entry
-        terminal, cond_sat = self._terminal, self._cond_sat
-        path_sensitive = self.path_sensitive
+    def _drain(self, walk: _Walk, stack: List[_Walk]) -> None:
+        """Process ``walk``'s items until its worklist is empty, or until
+        a call opens callee walks (pushed onto ``stack``)."""
+        table = walk.table
+        kinds, ops = table.kinds, table.ops
+        work = walk.work
+        func = walk.func
+        terminal = self._terminal
         budget, deadline = self.budget, self.deadline
-        results: Set[Tuple[int, int]] = set()
-        processed: Set[Tuple[int, int, int]] = set()
-        work: List[Tuple[int, int, int]] = []
-        for item in starts:
-            if terminal[item[1]] and not path_sensitive:
-                # Resolved value: nothing before can change it.  With
-                # path sensitivity on we keep walking to collect the
-                # branch constraints that gate this path segment.
-                results.add((item[1], item[2]))
-            elif item not in processed:
-                processed.add(item)
-                work.append(item)
+        advance = self._advance
         while work:
             self.steps = steps = self.steps + 1
             if budget is not None and steps > budget:
@@ -467,24 +627,13 @@ class SummaryEngine:
                 raise AnalysisBudgetExceeded("summary-engine", steps)
             node, tid, cid = work.pop()
             kind = kinds[node]
-            preds = preds_of[node]
+            conts: Iterable[Tuple[int, int]]
             if kind == _SKIP or (terminal[tid] and kind != _ASSUME):
                 # The term and condition carry over unchanged (a
-                # resolved value only collects branch constraints).
-                # Most steps land here, so the push is inlined.
-                if not cond_sat[cid]:
-                    continue
-                if node == entry or not preds:
-                    results.add((tid, cid))
-                    continue
-                for pred in preds:
-                    nxt = (pred, tid, cid)
-                    if nxt not in processed:
-                        processed.add(nxt)
-                        work.append(nxt)
-                continue
-            conts: Iterable[Tuple[int, int]]
-            if kind == _TRANSFER:
+                # resolved value only collects branch constraints):
+                # the start of a walk, or a stop.
+                conts = ((tid, cid),)
+            elif kind == _TRANSFER:
                 conts = self._transfer(func, node, ops[node], tid, cid)
             elif kind == _ASSUME:
                 # Path sensitivity (paper Section 3): record the
@@ -493,20 +642,47 @@ class SummaryEngine:
                 c = self._conjoin(cid, ops[node])
                 conts = ((tid, c),) if c >= 0 else ()
             else:
-                conts = self._splice(ops[node], tid, cid, requested)
-            for t, c in conts:
-                if not cond_sat[c]:
-                    continue
-                if node == entry or not preds \
-                        or (terminal[t] and not path_sensitive):
-                    results.add((t, c))
-                    continue
-                for pred in preds:
-                    nxt = (pred, t, c)
-                    if nxt not in processed:
-                        processed.add(nxt)
-                        work.append(nxt)
-        return results
+                advance(walk, node,
+                        self._splice(walk, node, ops[node], tid, cid, stack))
+                if stack[-1] is not walk:
+                    return
+                continue
+            advance(walk, node, conts)
+
+    def _advance(self, walk: _Walk, node: int,
+                 conts: Iterable[Tuple[int, int]]) -> None:
+        """Carry the continuations of an item at ``node`` backward: into
+        the walk's results at a stop (or for a resolved value without
+        path sensitivity), else to the node's jump targets for the
+        term's kind."""
+        table = walk.table
+        cond_sat, terminal = self._cond_sat, self._terminal
+        preds = table.preds
+        stop = node == table.entry or not preds[node]
+        path_sensitive = self.path_sensitive
+        processed, work = walk.processed, walk.work
+        for t, c in conts:
+            if not cond_sat[c]:
+                continue
+            resolved = terminal[t]
+            if stop or (resolved and not path_sensitive):
+                entry = (t, c)
+                if entry not in walk.found:
+                    walk.found.add(entry)
+                    walk.results.append(entry)
+                continue
+            if resolved:
+                lists, mask = table.tjumps, table.tskips
+            else:
+                lists, mask = table.jumps, table.skips
+            targets = lists[node]
+            if targets is None:
+                targets = _fill(lists, mask, preds, table.entry, node)
+            for pred in targets:
+                nxt = (pred, t, c)
+                if nxt not in processed:
+                    processed.add(nxt)
+                    work.append(nxt)
 
     def _transfer(self, func: str, node: int, recipes: Dict[int, Any],
                   tid: int, cid: int) -> List[Tuple[int, int]]:
@@ -528,27 +704,39 @@ class SummaryEngine:
                 out.append((t, c))
         return out
 
-    def _splice(self, callees: Tuple[Optional[str], ...], tid: int, cid: int,
-                requested: Optional[Dict[_Key, None]]
-                ) -> List[Tuple[int, int]]:
-        """Splice callee exit summaries (Algorithm 5 lines 9-18)."""
+    def _splice(self, walk: _Walk, node: int,
+                callees: Tuple[Optional[str], ...], tid: int, cid: int,
+                stack: List[_Walk]) -> List[Tuple[int, int]]:
+        """Splice callee exit summaries (Algorithm 5 lines 9-18).  The
+        call item takes a final summary whole; it registers with a key
+        still open, taking the entries found so far, and opens (and
+        queues) the walk of a key not seen yet."""
         out: List[Tuple[int, int]] = []
         for g in callees:
             if g is None:  # transparent callee
                 out.append((tid, cid))
                 continue
-            if requested is not None:
-                # The current (possibly empty) value is a monotone
-                # under-approximation that the fixpoint driver repairs.
-                key = (g, tid)
-                requested[key] = None
-                entries = self._summaries.setdefault(key, _NO_ENTRIES)
-            else:
-                entries = self._exit(g, tid)
-            for w, c in entries:
-                m = self._merge(cid, c)
-                if m >= 0:
-                    out.append((w, m))
+            key = (g, tid)
+            entries = self._summaries.get(key)
+            if entries is None:
+                callee = self._walks.get(key)
+                if callee is None:
+                    callee = self._open(key)
+                    callee.queued = True
+                    stack.append(callee)
+                entries = callee.results
+                callee.waiters.append([walk, node, cid, len(entries)])
+            out.extend(self._merged(cid, entries))
+        return out
+
+    def _merged(self, cid: int, entries: Iterable[Tuple[int, int]]
+                ) -> List[Tuple[int, int]]:
+        """Callee ``entries`` under the call item's condition ``cid``."""
+        out: List[Tuple[int, int]] = []
+        for w, c in entries:
+            m = self._merge(cid, c)
+            if m >= 0:
+                out.append((w, m))
         return out
 
     # ------------------------------------------------------------------
@@ -562,36 +750,28 @@ class SummaryEngine:
 
     def _compile(self, func: str) -> _FunctionTable:
         cfg = self.program.cfg_of(func)
-        functions = self.program.functions
-        relevant = (None if self.relevant is None
-                    else self._relevant_nodes.get(func, set()))
-        kinds: List[int] = []
-        ops: List[Any] = []
-        for idx, stmt in cfg.statements():
-            kind: int = _SKIP
-            op: Any = None
-            if isinstance(stmt, CallStmt):
-                callees = tuple(None if g in self._transparent else g
-                                for g in stmt.targets if g in functions)
-                if callees:
-                    kind, op = _CALL, callees
-            elif isinstance(stmt, Assume):
-                if self.path_sensitive:
-                    loc = Loc(func, idx)
-                    if stmt.rhs is None:
-                        atom = null_atom(loc, stmt.lhs, stmt.equal)
-                    else:
-                        atom = same_object_atom(loc, stmt.lhs, stmt.rhs,
-                                                stmt.equal)
-                    kind, op = _ASSUME, self._atom_id(atom)
-            elif isinstance(stmt, _TRANSFERS) and (
-                    relevant is None or idx in relevant):
-                # Outside St_P the reduced program executes a skip.
-                kind, op = _TRANSFER, {}
-            kinds.append(kind)
-            ops.append(op)
-        assert cfg.exit is not None
-        return _FunctionTable(kinds, ops, cfg._preds, cfg.entry, cfg.exit)
+        shared = self._shared.get(func)
+        if shared is None:
+            shared = self._shared.setdefault(func, _Shared(cfg))
+        kinds = [_SKIP] * len(cfg)
+        ops: List[Any] = [None] * len(cfg)
+        functions, transparent = self.program.functions, self._transparent
+        for idx, stmt in shared.calls:
+            callees = tuple(None if g in transparent else g
+                            for g in stmt.targets if g in functions)
+            if any(g is not None for g in callees):
+                # Transparent callees alone leave every term as is.
+                kinds[idx], ops[idx] = _CALL, callees
+        if self.path_sensitive:
+            for idx, atom in shared.assumes:
+                kinds[idx], ops[idx] = _ASSUME, self._atom_id(atom)
+        # Outside St_P the reduced program executes a skip.
+        transfers = shared.transfers if self.relevant is None else \
+            shared.transfers.intersection(
+                self._relevant_nodes.get(func, ()))
+        for idx in transfers:
+            kinds[idx], ops[idx] = _TRANSFER, {}
+        return _FunctionTable(cfg, shared, kinds, ops)
 
     # ------------------------------------------------------------------
     # Algorithm 4: inverse transfer of one statement over a term, in

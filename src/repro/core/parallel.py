@@ -449,7 +449,7 @@ class ParallelRunner:
         Failure is per cluster, under ``policy`` (a
         :class:`~repro.core.resilience.RunPolicy`): an exception, a
         crashed worker, a worker silent past
-        ``policy.future_timeout(1)`` or an outcome that fails
+        ``policy.future_timeout()`` or an outcome that fails
         validation fails only its own cluster.  Retryable failures are
         retried together in rounds, one backoff sleep per round, for up
         to ``policy.retries`` rounds, and a circuit breaker that counts
@@ -510,7 +510,7 @@ class ParallelRunner:
             batch = [(k, [i for i in part if i in retry])
                      for k, part in enumerate(schedule)]
             run_round([(k, part) for k, part in batch if part],
-                      task, policy.future_timeout(1), accept)
+                      task, policy.future_timeout(), accept)
             retry = set(failed) - final
             if not retry or attempt > policy.retries or breaker.is_open:
                 break

@@ -124,17 +124,16 @@ class RunPolicy:
         return min(self.max_backoff,
                    self.backoff * self.backoff_factor ** max(0, attempt - 2))
 
-    def future_timeout(self, count: int = 1) -> float:
-        """Bound on waiting for ``count`` clusters' results.  The
-        processes backend waits this long (``count=1``) for each next
-        result of a worker, from the previous one or the fork, and then
-        kills the worker: only the cluster it was running fails.
-        Doubled per cluster when a timeout is set: a worker that blows
-        its deadline may degrade *in the worker*, which costs up to one
-        more deadline's worth of (coarser, cheaper) analysis."""
+    def future_timeout(self) -> float:
+        """Bound on waiting for one cluster's result: the processes
+        backend waits this long for each next result of a worker, from
+        the previous one or the fork, and then kills the worker, so only
+        the cluster it was running fails.  One ``cluster_timeout`` (the
+        solve's own deadline) plus ``grace``; degradation runs in the
+        parent, after the wait."""
         if self.cluster_timeout is None:
             return self.hard_timeout
-        return 2.0 * self.cluster_timeout * max(1, count) + self.grace
+        return self.cluster_timeout + self.grace
 
     def deadline(self) -> Optional[float]:
         """An absolute ``time.monotonic()`` deadline ``cluster_timeout``

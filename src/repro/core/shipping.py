@@ -63,8 +63,9 @@ from .relevant import RelevantSlice
 #: Bump when the identity record's layout or the analysis semantics
 #: behind cached outcomes change; part of every fingerprint, so stale
 #: cache entries simply stop matching.  Version 3 is the record of
-#: :func:`build_payload`.
-PAYLOAD_VERSION = 3
+#: :func:`build_payload`; version 4 keeps it, but outcomes count
+#: ``engine_steps`` in the summary engine's tabulation steps.
+PAYLOAD_VERSION = 4
 
 _SLICED = Skip("sliced")
 

@@ -1,8 +1,11 @@
 """Call graphs, SCC condensation, and function-pointer resolution.
 
-The summary engine (paper Section 3) processes strongly connected
-components of the call graph in reverse topological order; recursion is
-confined to a component and resolved by fixpoint there.
+The paper's summary engine (Section 3) processes strongly connected
+components of the call graph in reverse topological order;
+:mod:`repro.analysis.summaries` gets that effect on demand, by
+tabulation.  :attr:`CallGraph.recursive`, computed once per call graph,
+tells the dataflow analyses which functions' locals may have several
+live instances.
 
 Function pointers are handled "as in Emami et al.": an indirect call's
 candidate targets are the functions its pointer may point to under a
@@ -13,7 +16,16 @@ parameter/return copy plumbing for every candidate.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from .cfg import Loc
 from .program import Function, Program, param_var, retval_var
@@ -28,6 +40,7 @@ class CallGraph:
         self.edges: Dict[str, Set[str]] = {f: set() for f in program.functions}
         self.redges: Dict[str, Set[str]] = {f: set() for f in program.functions}
         self.sites: Dict[Tuple[str, str], List[Loc]] = {}
+        self._recursive: Optional[FrozenSet[str]] = None
         for loc, stmt in program.call_sites:
             for target in stmt.targets:
                 if target in program.functions:
@@ -104,9 +117,18 @@ class CallGraph:
     def scc_of(self) -> Dict[str, FrozenSet[str]]:
         return {f: frozenset(comp) for comp in self.sccs() for f in comp}
 
+    @property
+    def recursive(self) -> FrozenSet[str]:
+        """The functions on a call-graph cycle (in an SCC of two or more,
+        or calling themselves), computed once per call graph."""
+        if self._recursive is None:
+            self._recursive = frozenset(
+                f for comp in self.sccs() for f in comp
+                if len(comp) > 1 or f in self.edges[f])
+        return self._recursive
+
     def is_recursive(self, f: str) -> bool:
-        comp = self.scc_of()[f]
-        return len(comp) > 1 or f in self.edges[f]
+        return f in self.recursive
 
     def reachable_from(self, root: str) -> Set[str]:
         seen = {root}

@@ -327,6 +327,8 @@ class TestBenchHarness:
         summaries = data["stages"]["summaries"]
         assert summaries["identical"] and summaries["clusters"] > 0
         assert summaries["kernel_time"] > 0
+        assert summaries["repeats"] == len(summaries["speedups"]) == 3
+        assert summaries["speedup"] == sorted(summaries["speedups"])[1]
         sliced = data["stages"]["sliced_fsci"]
         assert sliced["identical"]
         assert sliced["clusters"] == summaries["clusters"]
@@ -343,12 +345,13 @@ class TestBenchHarness:
         assert "payload" not in data
         assert render(data)
 
-    def _result(self, kernel, reference):
+    def _result(self, kernel, reference, summaries=1.0):
         return {
             "stages": {
                 "andersen": {"identical": True},
                 "fsci": {"identical": True},
-                "summaries": {"identical": True},
+                "summaries": {"identical": True, "kernel_time": summaries,
+                              "reference_time": 4.0},
                 "sliced_fsci": {"identical": True},
             },
             "cold": {"kernel_time": kernel, "reference_time": reference,
@@ -365,6 +368,13 @@ class TestBenchHarness:
         cur = self._result(1.6, 6.0)  # ratio +60%, speedup still < floor
         failures = check_gate(cur, base)
         assert any("regressed" in f for f in failures)
+
+    def test_gate_fails_on_summaries_ratio_regression(self):
+        base = self._result(1.0, 6.0)
+        assert not check_gate(self._result(1.0, 6.0, summaries=1.1), base)
+        failures = check_gate(self._result(1.0, 6.0, summaries=1.3), base)
+        assert len(failures) == 1
+        assert failures[0].startswith("summaries solver cost regressed")
 
     def test_gate_fails_below_speedup_floor(self):
         base = self._result(1.0, 6.0)

@@ -94,12 +94,11 @@ class TestRunPolicy:
 
     def test_future_timeout_backstop(self):
         pol = RunPolicy(cluster_timeout=None, hard_timeout=123.0)
-        assert pol.future_timeout(50) == 123.0
+        assert pol.future_timeout() == 123.0
 
-    def test_future_timeout_scales_with_batch(self):
+    def test_future_timeout_is_one_cluster_timeout(self):
         pol = RunPolicy(cluster_timeout=2.0, grace=1.0)
-        assert pol.future_timeout(1) == pytest.approx(5.0)
-        assert pol.future_timeout(3) == pytest.approx(13.0)
+        assert pol.future_timeout() == pytest.approx(3.0)
 
     def test_default_policy_never_degrades(self):
         assert DEFAULT_POLICY.degrade is False
@@ -450,6 +449,20 @@ class TestProcessesFaultMatrix:
             faults=[FaultSpec(kind="hang", match="#0", duration=15.0)])
         assert 0 in report.degraded
         _assert_superset(clean[0], report.results[0])
+
+    def test_hung_worker_is_killed_after_one_cluster_timeout(self):
+        """A worker silent for ``cluster_timeout + grace`` is killed
+        then, not one more ``cluster_timeout`` later."""
+        result = _fresh(figure5_program())
+        t0 = time.monotonic()
+        report = result.analyze_all(
+            backend="processes", jobs=2,
+            policy=RunPolicy(cluster_timeout=0.5, retries=0, grace=1.0,
+                             degrade=True),
+            faults=[FaultSpec(kind="hang", match="#0", duration=15.0)])
+        assert time.monotonic() - t0 <= 1.8
+        assert "no result within 1.5s; worker killed" \
+            in report.results[0]["error"]
 
     def test_flaky_once_recovers_across_processes(self, tmp_path):
         result = _fresh(figure5_program())

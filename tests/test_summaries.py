@@ -13,8 +13,15 @@ from repro.analysis import (
     SummaryEngine,
     format_constraint,
 )
-from repro.core import relevant_statements
+from repro.bench import sources
+from repro.core import (
+    BootstrapAnalyzer,
+    BootstrapConfig,
+    CascadeConfig,
+    relevant_statements,
+)
 from repro.errors import AnalysisBudgetExceeded
+from repro.frontend import parse_program
 from repro.ir import Loc, ProgramBuilder, Var
 
 from .helpers import figure4_program, figure5_program, v
@@ -286,6 +293,42 @@ class TestBudget:
         eng.exit_summary("main", ObjTerm(Var("z")))
         assert eng.steps > 0
 
+    @pytest.mark.parametrize("limit", ["budget", "deadline"])
+    def test_no_partial_summary_survives_a_raise(self, limit):
+        """A solve that trips its budget or deadline keeps none of its
+        open keys: once the limit is lifted, asking again gives a fresh
+        engine's answer for every (function, cluster pointer) exit
+        summary of the hand-written sources."""
+        tripped = 0
+        for name in sources.names():
+            program = parse_program(sources.source(name))
+            boot = BootstrapAnalyzer(program, BootstrapConfig(
+                cascade=CascadeConfig(andersen_threshold=6))).run()
+            for cluster in boot.clusters:
+                base = boot.analysis_for(cluster)
+                options = {"fsci": base.fsci, "relevant": base.relevant,
+                           "callgraph": base.callgraph}
+                fresh = SummaryEngine(program, **options)
+                keys = [(func, ObjTerm(p))
+                        for func in sorted(program.functions)
+                        for p in sorted(base.cluster, key=str)]
+                answers = [fresh.exit_summary(*key) for key in keys]
+                if limit == "budget" and fresh.steps >= 2:
+                    options["budget"] = fresh.steps // 2
+                elif limit == "deadline" and fresh.steps >= 256:
+                    options["deadline"] = 0.0  # long past: trips at 256
+                else:
+                    continue
+                engine = SummaryEngine(program, **options)
+                with pytest.raises(AnalysisBudgetExceeded):
+                    for key in keys:
+                        engine.exit_summary(*key)
+                tripped += 1
+                engine.budget = engine.deadline = None
+                assert [engine.exit_summary(*key) for key in keys] \
+                    == answers, (name, sorted(map(str, base.cluster)))
+        assert tripped > 0
+
 
 class TestBackwardFrom:
     def test_interior_location(self):
@@ -309,3 +352,27 @@ class TestBackwardFrom:
         before = eng.backward_from(Loc("main", n), ObjTerm(v("q", "main")),
                                    after=False)
         assert summary_strs(before) == ["&main::a | true"]
+
+
+class TestDeepCallChain:
+    def test_chain_of_3000_calls(self):
+        """``f0 -> ... -> f2999``, where only the last function writes
+        ``p``: the driver keeps one walk per open key on an explicit
+        stack, so a chain far deeper than the recursion limit solves."""
+        depth = 3000
+        b = ProgramBuilder()
+        b.global_var("p")
+        b.global_var("g")
+        with b.function("main") as f:
+            f.call("f0")
+        for i in range(depth - 1):
+            with b.function(f"f{i}") as f:
+                f.call(f"f{i + 1}")
+        with b.function(f"f{depth - 1}") as f:
+            f.addr("p", "g")
+        prog = b.build()
+        boot = BootstrapAnalyzer(prog).run()
+        report = boot.analyze_all()
+        answers = [out["points_to"]["p"] for out in report.results
+                   if "p" in out["points_to"]]
+        assert answers == [["g"]]
