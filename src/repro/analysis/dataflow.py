@@ -19,9 +19,18 @@ its states in node-indexed lists, so the worklist loop hashes no
 Clients provide transfer and join over an opaque state type.  A
 transfer is either a function of ``(loc, stmt, state)``, bound once per
 node, or a node-indexed table of ``state -> state`` closures that FSCI
-compiles itself (``None`` entries are skips).  The dict-keyed engine
-this one replaced survives in :mod:`.reference` as the oracle of
-``tests/test_dataflow_kernel.py``.
+compiles itself (``None`` entries are skips).
+
+The solve is sparse, as the paper's reduced program ``Prog_P`` is: its
+*anchors* are the entry and every node with a transfer, and only they
+are visited.  An anchor's out-state moves along its forward jump list
+(its successors, each skip node replaced by its own successors), and a
+skip node's state is rebuilt on first query as the join of the
+out-states of the anchors that reach it over skips.  An iteration is
+one anchor visit.  A callable transfer binds every node, so every node
+is an anchor and the jump lists are the successor lists.  The dense
+engine this one replaced survives in :mod:`.reference` as the oracle
+of ``tests/test_dataflow_kernel.py``, which holds every state equal.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     TypeVar,
     Union,
@@ -54,8 +64,35 @@ NodeOp = Optional[Callable[[State], State]]
 #: A location-level transfer: ``(loc, stmt, state) -> state``.
 Transfer = Callable[[Loc, Statement, State], State]
 
+#: Jump lists: per node, its jump targets, ``None`` until first used.
+JumpLists = List[Optional[Tuple[Node, ...]]]
+
 #: Marks a node whose state was never set ("not in the map").
 _UNSET = object()
+
+#: Marks a skip node whose state was not rebuilt yet.
+_UNBUILT = object()
+
+
+def _over_skips(skips: bytes, edges: List[List[Node]],
+                node: Node) -> Tuple[Node, ...]:
+    """``node``'s neighbours along ``edges`` (successor or predecessor
+    lists), where each node ``skips`` marks is replaced by its own
+    neighbours, in depth-first edge order: its forward jump targets
+    over successors, the anchors that reach it over predecessors."""
+    targets: List[Node] = []
+    seen: Set[Node] = set()
+    frontier = edges[node][::-1]
+    while frontier:
+        n = frontier.pop()
+        if n in seen:
+            continue
+        seen.add(n)
+        if skips[n]:
+            frontier.extend(edges[n][::-1])
+        else:
+            targets.append(n)
+    return tuple(targets)
 
 
 class Supergraph:
@@ -74,7 +111,6 @@ class Supergraph:
 
     def __init__(self, program: Program,
                  functions: Optional[Iterable[str]] = None) -> None:
-        self.program = program
         names = set(functions) if functions is not None else set(program.functions)
         #: The included functions, sorted — the canonical deterministic
         #: iteration order, and the node layout.
@@ -99,12 +135,11 @@ class Supergraph:
         self._succs: List[List[Node]] = [None] * len(self.stmts)  # type: ignore[list-item]
         self._preds: Optional[List[List[Node]]] = None
         self._locs: Optional[List[Loc]] = None
-        self._build_edges()
+        self._build_edges(program)
 
-    def _build_edges(self) -> None:
+    def _build_edges(self, program: Program) -> None:
         succs = self._succs
         layout = self._layout
-        program = self.program
         for name in self.names:
             cfg = program.cfg_of(name)
             base = layout[name][0]
@@ -171,6 +206,16 @@ class Supergraph:
         return [partial(transfer, loc, stmt)
                 for loc, stmt in zip(self.locs, self.stmts)]
 
+    def pred_lists(self) -> List[List[Node]]:
+        """Node id -> predecessor ids, built on first use."""
+        if self._preds is None:
+            preds: List[List[Node]] = [[] for _ in self.stmts]
+            for src, dsts in enumerate(self._succs):
+                for d in dsts:
+                    preds[d].append(src)
+            self._preds = preds
+        return self._preds
+
     # -- the Loc API -----------------------------------------------------
     def successors(self, loc: Loc) -> List[Loc]:
         node = self.node_of(loc)
@@ -183,14 +228,8 @@ class Supergraph:
         node = self.node_of(loc)
         if node is None:
             return []
-        if self._preds is None:
-            preds: List[List[Node]] = [[] for _ in self.stmts]
-            for src, dsts in enumerate(self._succs):
-                for d in dsts:
-                    preds[d].append(src)
-            self._preds = preds
         locs = self.locs
-        return [locs[p] for p in self._preds[node]]
+        return [locs[p] for p in self.pred_lists()[node]]
 
     def nodes(self) -> List[Loc]:
         """Every location of the included functions, in id order."""
@@ -198,15 +237,21 @@ class Supergraph:
 
 
 class ForwardDataflow(Generic[State]):
-    """Worklist forward fixpoint over a supergraph.
+    """Sparse worklist forward fixpoint over a supergraph.
 
     ``transfer`` is either ``transfer(loc, stmt, state)``, which must
     return a *new* state (states are treated as immutable), or a
     node-indexed list of ``state -> state`` closures (``None`` = skip).
     ``join`` combines predecessor outputs and has ``bottom`` as its
     identity; ``initial`` is the entry fact; states compare with
-    ``==``.  The worklist is LIFO over node ids and pushes successors in
-    edge order.
+    ``==``.
+
+    The worklist holds only anchors (the entry and every node with a
+    transfer), is LIFO over node ids and pushes an anchor's jump
+    targets in depth-first edge order.  ``iterations`` counts anchor
+    visits.  A skip node's state is the join of the out-states of the
+    anchors that reach it over skips, rebuilt on its first query and
+    memoized; the rebuild is idempotent, so threads may race on it.
     """
 
     def __init__(
@@ -223,8 +268,19 @@ class ForwardDataflow(Generic[State]):
         self.join = join
         self.initial = initial
         self.bottom = bottom
+        skips = bytearray(op is None for op in self.ops)
+        skips[graph.entry_id] = 0
+        #: 1 marks a skip node: neither the entry nor a transfer.
+        self._skips = bytes(skips)
+        #: Forward jump lists, filled on first use; the successor lists
+        #: themselves when no node is a skip.
+        self._jumps: JumpLists = (
+            [None] * len(graph) if 1 in skips
+            else graph._succs)  # type: ignore[assignment]
         self._in: List[object] = [_UNSET] * len(graph)
         self._out: List[object] = [_UNSET] * len(graph)
+        #: Skip node -> its rebuilt state.
+        self._rebuilt: Dict[Node, object] = {}
         self.iterations = 0
 
     def run(self, max_iterations: Optional[int] = None,
@@ -232,6 +288,7 @@ class ForwardDataflow(Generic[State]):
         """Run to fixpoint; ``deadline`` is an absolute time.monotonic()
         value standing in for the paper's wall-clock timeout."""
         succs = self.graph._succs
+        jumps, skips = self._jumps, self._skips
         ops = self.ops
         join = self.join
         ins, outs = self._in, self._out
@@ -260,7 +317,10 @@ class ForwardDataflow(Generic[State]):
                                          and prev == out_state):
                     continue
                 outs[node] = out_state
-                for succ in succs[node]:
+                targets = jumps[node]
+                if targets is None:
+                    targets = jumps[node] = _over_skips(skips, succs, node)
+                for succ in targets:
                     old = ins[succ]
                     if old is _UNSET:
                         ins[succ] = out_state  # join(bottom, out_state)
@@ -275,16 +335,36 @@ class ForwardDataflow(Generic[State]):
         finally:
             self.iterations = iterations
 
-    def state_before(self, loc: Loc) -> State:
+    def _skip_state(self, node: Node) -> object:
+        """The state of skip node ``node``, before and after it: the
+        join of the out-states of the anchors that reach it over skips
+        (``_UNSET`` when none was reached)."""
+        state = self._rebuilt.get(node, _UNBUILT)
+        if state is not _UNBUILT:
+            return state
+        state = _UNSET
+        for anchor in _over_skips(self._skips, self.graph.pred_lists(), node):
+            out = self._out[anchor]
+            if out is not _UNSET:
+                state = out if state is _UNSET else self.join(state, out)
+        self._rebuilt[node] = state
+        return state
+
+    def _state(self, loc: Loc, states: List[object]) -> State:
         node = self.graph.node_of(loc)
-        state = self._in[node] if node is not None else _UNSET
+        if node is None:
+            return self.bottom
+        state = self._skip_state(node) if self._skips[node] else states[node]
         return self.bottom if state is _UNSET else state  # type: ignore[return-value]
+
+    def state_before(self, loc: Loc) -> State:
+        return self._state(loc, self._in)
 
     def state_after(self, loc: Loc) -> State:
-        node = self.graph.node_of(loc)
-        state = self._out[node] if node is not None else _UNSET
-        return self.bottom if state is _UNSET else state  # type: ignore[return-value]
+        return self._state(loc, self._out)
 
     def states_after(self) -> List[State]:
-        """Every out-state the solve set, in node order."""
+        """Every anchor out-state the solve set, in node order.  A skip
+        node's state joins some of them, so these cover every object
+        any state holds."""
         return [s for s in self._out if s is not _UNSET]  # type: ignore[misc]

@@ -31,9 +31,15 @@ must-fact.
 States are solved on the bitmask kernel (:mod:`.kernel`) over the
 dense node ids of :mod:`.dataflow`: each node's transfer is compiled
 once into a node-indexed table of closures, so a solve hashes no
-``Loc``.  :class:`~.reference.ReferenceFSCI`, the same fixpoint over
-frozensets on the ``Loc``-keyed engine, is the oracle the differential
-suites compare it against, state by state and iteration by iteration.
+``Loc``.  The solve is sparse: a statement outside ``St_P``, or one
+that writes no tracked cell, compiles to a skip, and the dataflow
+visits only the entry and the statements with a transfer, so an
+iteration is one visit of a statement that can change the state.
+Each supergraph is built once per program and function set and kept
+among the program's caches.
+:class:`~.reference.ReferenceFSCI`, the same fixpoint over frozensets
+on the dense ``Loc``-keyed engine, is the oracle the differential
+suites compare it against, state by state at every location.
 """
 
 from __future__ import annotations
@@ -69,8 +75,8 @@ BOTTOM = None
 # A state is ``Dict[int, int]``: dense cell id -> value mask.  The two
 # reserved low bits carry the sentinels, object ``i`` sits at bit
 # ``_RESERVED + i``, and a missing key means {UNINIT} — a bijection with
-# the reference solver's frozenset domain, so the fixpoint trajectory
-# (state equality, join results, iteration counts) is identical.
+# the reference solver's frozenset domain, so the fixpoint (every
+# state and join result) is identical.
 
 UNINIT_BIT = 1
 NULL_BIT = 2
@@ -257,6 +263,21 @@ def slice_functions(program: Program, callgraph: CallGraph,
     return functions
 
 
+def _supergraph(program: Program,
+                functions: Optional[Set[str]]) -> Supergraph:
+    """The supergraph of ``functions`` (``None``: all), built once per
+    program and function set and kept with the program's other caches
+    (dropped by ``Program.invalidate_caches``), so solves over one
+    function set share its nodes, edges and predecessor lists."""
+    graphs: Dict[Optional[FrozenSet[str]], Supergraph] = \
+        program.__dict__.setdefault("_fsci_graphs", {})
+    key = frozenset(functions) if functions is not None else None
+    graph = graphs.get(key)
+    if graph is None:
+        graph = graphs.setdefault(key, Supergraph(program, functions))
+    return graph
+
+
 class FSCI(PointerAnalysis):
     """Forward interprocedural may-points-to fixpoint.
 
@@ -273,7 +294,8 @@ class FSCI(PointerAnalysis):
         through); used to confine a cluster's FSCI to the functions that
         can influence it.
     max_iterations:
-        Abort knob for the deliberately-unscalable unclustered baseline.
+        Abort knob for the deliberately-unscalable unclustered baseline;
+        it bounds anchor visits (see :mod:`.dataflow`).
     """
 
     name = "fsci"
@@ -307,7 +329,7 @@ class FSCI(PointerAnalysis):
 
     def run(self) -> FSCIResult:
         """Solve over the node-indexed table of mask transfers."""
-        graph = Supergraph(self.program, functions=self._functions)
+        graph = _supergraph(self.program, self._functions)
         table = NodeTable(reserved=_RESERVED)
         engine: ForwardDataflow[Optional[MaskState]] = ForwardDataflow(
             graph, self._compile_kernel(graph, table), _join_kernel,

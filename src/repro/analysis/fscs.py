@@ -231,9 +231,25 @@ class ClusterFSCS:
                   after: bool = True) -> FrozenSet[MemObject]:
         """Objects ``p`` may point to at ``loc`` (after its statement by
         default), context-sensitively when ``context`` is given."""
+        return self._objects(self.origins(p, loc, context, after=after),
+                             p, loc, after)
+
+    def exit_points_to(self, p: Var) -> FrozenSet[MemObject]:
+        """``points_to(p, loc)`` at the program entry's exit, read off
+        the entry's exit summary, which :meth:`analyze` leaves final,
+        instead of a fresh backward walk."""
+        entry = self.program.entry
+        exit_loc = Loc(entry, self.program.cfg_of(entry).exit)
+        return self._objects(self.engine.exit_summary(entry, ObjTerm(p)),
+                             p, exit_loc, True)
+
+    def _objects(self, origins: FrozenSet[SummaryEntry], p: Var, loc: Loc,
+                 after: bool) -> FrozenSet[MemObject]:
+        """The objects ``p``'s ``origins`` resolve to; an unknown origin
+        adds FSCI's points-to set of ``p`` at ``loc``."""
         objs: Set[MemObject] = set()
         unknown = False
-        for term, _cond in self.origins(p, loc, context, after=after):
+        for term, _cond in origins:
             if isinstance(term, AddrTerm):
                 objs.add(term.obj)
             elif isinstance(term, UnknownTerm):

@@ -351,7 +351,7 @@ def run_fleet_bench(name: str = "sendmail", scale: float = 0.04,
                     units: int = 6,
                     workers_list: Sequence[int] = (1, 2, 4),
                     queries: int = 8000, concurrency: int = 8,
-                    repeats: int = 2,
+                    repeats: int = 3,
                     verbose: bool = False) -> Dict[str, Any]:
     """Measure the fleet on one corpus program; JSON-safe result.
 
@@ -368,10 +368,12 @@ def run_fleet_bench(name: str = "sendmail", scale: float = 0.04,
     worker's batches as the fleet grows and misattribute the lost
     batching efficiency to routing).
 
-    Each fleet size is measured ``repeats`` times and the run with the
-    least busiest-shard CPU kept: scheduler interference on a shared
-    host only ever *adds* CPU to a shard, so the minimum is the
-    standard estimator for the undisturbed cost.
+    The fleet sizes are measured in ``repeats`` interleaved rounds,
+    each size once per round.  A size's scaling is the median over the
+    rounds of its busy q/s over the first size's in the same round, and
+    ``runs`` keeps the round that gave the median: a host that changes
+    pace between rounds moves both sides of a ratio together, and one
+    disturbed round cannot decide the floor.
     """
     with tempfile.TemporaryDirectory(prefix="repro-bench-fleet-") as tmp:
         paths: List[str] = []
@@ -408,28 +410,29 @@ def run_fleet_bench(name: str = "sendmail", scale: float = 0.04,
                   f"units: {len(pairs)} query pointers, "
                   f"{n_clusters} clusters", file=sys.stderr)
 
+        rounds = [{w: _measure_run(w, cache, pairs, queries,
+                                   concurrency * w, verbose)
+                   for w in workers_list}
+                  for _ in range(max(1, repeats))]
+        base_w = workers_list[0]
+
+        def ratio(r: Dict[int, Dict[str, Any]], w: int, key: str) -> float:
+            base = r[base_w][key]
+            return r[w][key] / base if base else 0.0
+
         runs = []
         for w in workers_list:
-            best: Optional[Dict[str, Any]] = None
-            attempts = []
-            for _ in range(max(1, repeats)):
-                run = _measure_run(w, cache, pairs, queries,
-                                   concurrency * w, verbose)
-                attempts.append(run["max_worker_busy_seconds"])
-                if best is None or run["max_worker_busy_seconds"] \
-                        < best["max_worker_busy_seconds"]:
-                    best = run
-            assert best is not None
-            best["repeats"] = max(1, repeats)
-            best["busy_attempts_seconds"] = attempts
-            runs.append(best)
-        base = runs[0]["busy_qps"]
-        base_wall = runs[0]["wall_qps"]
-        for run in runs:
-            run["busy_scaling"] = \
-                run["busy_qps"] / base if base else 0.0
-            run["wall_scaling"] = \
-                run["wall_qps"] / base_wall if base_wall else 0.0
+            scalings = [ratio(r, w, "busy_qps") for r in rounds]
+            ranked = sorted(range(len(rounds)), key=scalings.__getitem__)
+            median = rounds[ranked[len(ranked) // 2]]
+            run = dict(median[w], repeats=len(rounds),
+                       busy_scaling=ratio(median, w, "busy_qps"),
+                       busy_scalings=scalings,
+                       wall_scaling=ratio(median, w, "wall_qps"),
+                       busy_attempts_seconds=[
+                           r[w]["max_worker_busy_seconds"]
+                           for r in rounds])
+            runs.append(run)
 
         fault = _fault_run(cache, requests, concurrency * 2, reference,
                            verbose)
@@ -514,10 +517,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--concurrency", type=int, default=8,
                         help="concurrent client connections per worker "
                              "(weak scaling; default 8)")
-    parser.add_argument("--repeats", type=int, default=2,
-                        help="measured runs per fleet size, keeping "
-                             "the one with the least busiest-shard "
-                             "CPU (default 2)")
+    parser.add_argument("--repeats", type=int, default=3,
+                        help="interleaved rounds of measured runs, one "
+                             "per fleet size each; scaling is the "
+                             "median over rounds (default 3)")
     parser.add_argument("--out", default="BENCH_fleet.json",
                         help="output JSON path (default BENCH_fleet.json)")
     parser.add_argument("--check", action="store_true",

@@ -48,7 +48,7 @@ from typing import (
 )
 
 from ..analysis.fscs import ClusterFSCS
-from ..ir import CallGraph, CFG, Loc, Program, Var
+from ..ir import CallGraph, CFG, Program, Var
 from ..ir.program import Function
 from ..ir.serialize import (
     cluster_to_wire,
@@ -64,8 +64,9 @@ from .relevant import RelevantSlice
 #: behind cached outcomes change; part of every fingerprint, so stale
 #: cache entries simply stop matching.  Version 3 is the record of
 #: :func:`build_payload`; version 4 keeps it, but outcomes count
-#: ``engine_steps`` in the summary engine's tabulation steps.
-PAYLOAD_VERSION = 4
+#: ``engine_steps`` in the summary engine's tabulation steps; version 5
+#: counts ``fsci_iterations`` in anchor visits of the sparse dataflow.
+PAYLOAD_VERSION = 5
 
 _SLICED = Skip("sliced")
 
@@ -299,13 +300,12 @@ def cluster_outcome(analysis: ClusterFSCS) -> Dict[str, Any]:
     (:meth:`ClusterFSCS.analyze`); ``points_to`` maps every cluster
     pointer to its sorted points-to set at the end of the program entry —
     the observable the differential suite compares bit-for-bit across
-    backends.
+    backends — read off the entry's exit summaries that ``analyze``
+    just finished (:meth:`ClusterFSCS.exit_points_to`).
     """
     stats = analysis.analyze()
-    program = analysis.program
-    exit_loc = Loc(program.entry, program.cfg_of(program.entry).exit)
     points_to: Dict[str, List[str]] = {}
     for p in sorted(analysis.cluster, key=str):
-        objs = analysis.points_to(p, exit_loc)
+        objs = analysis.exit_points_to(p)
         points_to[str(p)] = sorted(str(o) for o in objs)
     return {"stats": stats, "points_to": points_to}

@@ -199,7 +199,8 @@ class Program:
         self._objects = None
         self._assign_sites = None
         self._call_sites = None
-        # Location-keyed cut-shortcut transforms and the summary
-        # engine's node tables go stale with the IR.
+        # Location-keyed cut-shortcut transforms, the summary engine's
+        # node tables and FSCI's supergraphs go stale with the IR.
         self.__dict__.pop("_cutshortcut_transforms", None)
         self.__dict__.pop("_summary_shared", None)
+        self.__dict__.pop("_fsci_graphs", None)

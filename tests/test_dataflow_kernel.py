@@ -1,32 +1,39 @@
-"""Differential suite: the dense-id dataflow engine against its oracle.
+"""Differential suite: the sparse dense-id dataflow engine against its
+oracle.
 
 :class:`~repro.analysis.dataflow.ForwardDataflow` solves over dense node
-ids with node-indexed state lists, and FSCI compiles its transfers into
-a node-indexed table.  :class:`~repro.analysis.reference.ReferenceDataflow`
-is the Loc-keyed engine it replaced, kept verbatim behind
+ids with node-indexed state lists, visiting only anchors (the entry and
+the nodes with a transfer) and rebuilding a skip node's state on query;
+FSCI compiles its transfers into a node-indexed table.
+:class:`~repro.analysis.reference.ReferenceDataflow` is the Loc-keyed
+engine that visits every node, kept verbatim behind
 :class:`~repro.analysis.reference.ReferenceFSCI`.  For FSCI the two must
 agree on
 
 * the decoded state before and after every location of every included
-  function (cell -> objects, UNINIT, NULL),
-* ``reached_before`` and ``cells_after`` at every such location,
-* ``points_to`` of every pointer, and
-* the iteration count,
+  function, skip nodes included (cell -> objects, UNINIT, NULL),
+* ``reached_before`` and ``cells_after`` at every such location, and
+* ``points_to`` of every pointer,
 
 for the whole program, for each cluster's slice and for each parent
 slice, on the Table-1 corpus stand-ins, the hand-written sources, the
-examples and random programs.  The supergraphs must agree location by
-location, :class:`~repro.analysis.mustalias.MustAlias`,
+examples and random programs.  Their iteration counts differ by design:
+an FSCI iteration is one anchor visit, so a run of skip nodes costs
+none.  The supergraphs must agree location by location, and
+:class:`~repro.analysis.mustalias.MustAlias`,
 :class:`~repro.applications.lockset.LocksetAnalysis` and
-:class:`~repro.checkers.heapfacts.FreeFacts` must compute the same
-states on either engine, and ``max_iterations`` and an expired deadline
-must stop both engines at the same iteration.
+:class:`~repro.checkers.heapfacts.FreeFacts`, whose callable transfers
+make every node an anchor, must compute the same states in the same
+number of iterations on either engine.  ``max_iterations`` bounds anchor
+visits, and an expired deadline is seen at the 256th.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import sys
+import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 from unittest import mock
@@ -127,7 +134,7 @@ def observe(program: Program, config: Config) -> Dict[Any, Any]:
     for side, result, decode in (
             ("kernel", kernel, lambda s: _kernel_state(kernel, s)),
             ("reference", ref, _reference_state)):
-        seen: Dict[Any, Any] = {"iterations": result.iterations}
+        seen: Dict[Any, Any] = {}
         for name in sorted(functions):
             for idx in program.cfg_of(name).nodes():
                 loc = Loc(name, idx)
@@ -292,22 +299,101 @@ class TestClients:
 
 
 # ----------------------------------------------------------------------
+# Skip runs cost nothing
+# ----------------------------------------------------------------------
+def gap_program(gap: int) -> Program:
+    """Two pointer assignments with ``gap`` extern calls, statements
+    that touch no pointer, between them."""
+    return parse_program(
+        "int *p; int *q; int a;\nvoid tick(void);\nint main() {\n"
+        "  p = &a;\n" + "  tick();\n" * gap + "  q = p;\n"
+        "  return 0;\n}\n")
+
+
+class TestSparseSolve:
+    def test_skip_runs_take_no_iterations(self):
+        iterations = []
+        for gap in (10, 2000):
+            program = gap_program(gap)
+            iterations.append(FSCI(program).run().iterations)
+            seen = observe(program, {})
+            assert seen["kernel"] == seen["reference"], gap
+        assert iterations[0] == iterations[1]
+
+
+def decoded_states(result: Any, decode: Any, program: Program,
+                   functions: Any) -> Dict[Any, Any]:
+    """The decoded state before and after every location of
+    ``functions``."""
+    engine = result._engine
+    return {(side, Loc(name, idx)): decode(getter(Loc(name, idx)))
+            for name in sorted(functions)
+            for idx in program.cfg_of(name).nodes()
+            for side, getter in (("before", engine.state_before),
+                                 ("after", engine.state_after))}
+
+
+class TestThreads:
+    def test_racing_solves_and_rebuilds_match_the_reference(self):
+        """The daemon's threads share a program's cached supergraphs
+        (with their lazily built predecessor lists) and, through one
+        result, its skip-state rebuilds: racing on both must leave
+        every state equal to the reference's."""
+        program = corpus_program("clamd")
+        configs = [config for _, config in fsci_configs(program)[:12]]
+        functions = [config.get("functions", program.functions)
+                     for config in configs]
+        expected = [decoded_states(ReferenceFSCI(program, **config).run(),
+                                   _reference_state, program, fns)
+                    for config, fns in zip(configs, functions)]
+        shared = FSCI(program, **configs[0]).run()
+        failures: List[str] = []
+
+        def solve(offset: int) -> None:
+            try:
+                state = decoded_states(
+                    shared, lambda s: _kernel_state(shared, s), program,
+                    functions[0])
+                if state != expected[0]:
+                    failures.append(f"shared result, thread {offset}")
+                for k in range(len(configs)):
+                    i = (k + offset) % len(configs)
+                    result = FSCI(program, **configs[i]).run()
+                    state = decoded_states(
+                        result, lambda s: _kernel_state(result, s),
+                        program, functions[i])
+                    if state != expected[i]:
+                        failures.append(f"config {i}, thread {offset}")
+            except Exception as exc:  # reported below
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=solve, args=(k * 3,))
+                       for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+
+# ----------------------------------------------------------------------
 # Stopping early
 # ----------------------------------------------------------------------
-def unsolved_engines(program: Program) -> Tuple[Any, Any]:
-    """Both engines of a whole-program FSCI, wired as ``run`` wires
-    them but not yet run."""
+def unsolved_engine(program: Program) -> ForwardDataflow:
+    """The engine of a whole-program FSCI, wired as ``run`` wires it but
+    not yet run."""
     kernel = FSCI(program)
     graph = Supergraph(program)
-    dense = ForwardDataflow(
+    return ForwardDataflow(
         graph, kernel._compile_kernel(
             graph, NodeTable(reserved=fsci_module._RESERVED)),
         fsci_module._join_kernel, initial={}, bottom=None)
-    ref = ReferenceFSCI(program)
-    keyed = ReferenceDataflow(
-        ReferenceSupergraph(program), ref._transfer, reference._join,
-        initial={}, bottom=None)
-    return dense, keyed
 
 
 class TestStopping:
@@ -315,29 +401,25 @@ class TestStopping:
     def program(self) -> Program:
         return corpus_program("freshclam")
 
-    def test_max_iterations_stops_both_at_the_same_iteration(self, program):
+    def test_max_iterations_bounds_anchor_visits(self, program):
         full = FSCI(program).run().iterations
-        assert ReferenceFSCI(program).run().iterations == full
         for limit in (0, 1, 255, full // 2, full - 1):
-            for engine in unsolved_engines(program):
-                with pytest.raises(TimeoutError, match="iterations"):
-                    engine.run(max_iterations=limit)
-                assert engine.iterations == limit + 1
-            for cls in (FSCI, ReferenceFSCI):
-                with pytest.raises(TimeoutError):
-                    cls(program, max_iterations=limit).run()
-        for cls in (FSCI, ReferenceFSCI):
-            assert cls(program, max_iterations=full).run().iterations == full
+            engine = unsolved_engine(program)
+            with pytest.raises(TimeoutError, match="iterations"):
+                engine.run(max_iterations=limit)
+            assert engine.iterations == limit + 1
+            with pytest.raises(TimeoutError):
+                FSCI(program, max_iterations=limit).run()
+        assert FSCI(program, max_iterations=full).run().iterations == full
 
-    def test_expired_deadline_stops_both_at_the_same_iteration(self, program):
+    def test_expired_deadline_is_seen_at_the_256th_visit(self, program):
         assert FSCI(program).run().iterations > 256
-        for engine in unsolved_engines(program):
-            with pytest.raises(TimeoutError, match="deadline"):
-                engine.run(deadline=time.monotonic() - 1.0)
-            assert engine.iterations == 256
-        for cls in (FSCI, ReferenceFSCI):
-            with pytest.raises(TimeoutError, match="deadline"):
-                cls(program, deadline=time.monotonic() - 1.0).run()
+        engine = unsolved_engine(program)
+        with pytest.raises(TimeoutError, match="deadline"):
+            engine.run(deadline=time.monotonic() - 1.0)
+        assert engine.iterations == 256
+        with pytest.raises(TimeoutError, match="deadline"):
+            FSCI(program, deadline=time.monotonic() - 1.0).run()
 
     def test_short_solve_ignores_an_expired_deadline(self):
         program = example_program("deadlock_demo.c")

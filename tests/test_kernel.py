@@ -220,9 +220,11 @@ class TestAndersenDifferential:
 
 
 def _fsci_state(program, solver):
+    """Every answer of one FSCI solve at every location, skip nodes
+    included.  Iteration counts are not compared: the kernel visits
+    only anchors, the reference every node."""
     result = solver(program).run()
-    state = {"iterations": result.iterations,
-             "summary": {p: result.points_to(p)
+    state = {"summary": {p: result.points_to(p)
                          for p in program.pointers}}
     for fname, fn in program.functions.items():
         for idx in fn.cfg.nodes():
@@ -323,7 +325,11 @@ class TestBenchHarness:
     def test_smoke_records_identical_stages(self):
         data = run_kernel_bench(name="ctrace", scale=0.004)
         assert data["stages"]["andersen"]["identical"]
-        assert data["stages"]["fsci"]["identical"]
+        fsci = data["stages"]["fsci"]
+        assert fsci["identical"]
+        # Both counts are recorded; they differ by design (anchor
+        # visits against node visits) and are not compared.
+        assert fsci["iterations"] > 0 and fsci["reference_iterations"] > 0
         summaries = data["stages"]["summaries"]
         assert summaries["identical"] and summaries["clusters"] > 0
         assert summaries["kernel_time"] > 0
@@ -333,6 +339,7 @@ class TestBenchHarness:
         assert sliced["identical"]
         assert sliced["clusters"] == summaries["clusters"]
         assert sliced["iterations"] > 0
+        assert sliced["reference_iterations"] > 0
         cold = data["cold"]
         assert cold["kernel_time"] > 0
         # The cold ratio is the median of interleaved repeats, and the
